@@ -6,6 +6,7 @@
 // each avoids. Results also land in BENCH_embedding.json for the perf
 // trajectory.
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <thread>
@@ -365,6 +366,59 @@ void PrintTables() {
             << "x reduction (must stay >= 3x); both variants return the "
                "reference answers bit-identically.\n";
 
+  // --- Where the int8 cascade's time goes. The level −1 bound phase is the
+  // query encode plus BatchLowerBounds2 (the batched kernel over every row);
+  // the rest of a whole CascadeKnn is select + walk: the bounded heap, the
+  // head sort and the refined candidates. Repeated passes smooth the
+  // microsecond timings; the embedded exact scan is the clock to beat.
+  Banner("E16e: int8 cascade phases vs exact kNN (us/query)");
+  constexpr int kPhaseReps = 25;
+  const QuantizedStore& qs = s.embeddings.quantized();
+  std::vector<double> bounds(qs.size());
+  auto us_per_rep = [](std::chrono::steady_clock::time_point a,
+                       std::chrono::steady_clock::time_point b) {
+    return MicrosPerQuery(a, b) / kPhaseReps;
+  };
+  t0 = now();
+  for (int rep = 0; rep < kPhaseReps; ++rep) {
+    for (int q = 0; q < kQueries; ++q) {
+      qs.BatchLowerBounds2(qs.EncodeQuery(embedded[q]), bounds);
+      benchmark::DoNotOptimize(bounds.data());
+    }
+  }
+  t1 = now();
+  const double us_bound = us_per_rep(t0, t1);
+  t0 = now();
+  for (int rep = 0; rep < kPhaseReps; ++rep) {
+    for (int q = 0; q < kQueries; ++q) {
+      benchmark::DoNotOptimize(s.embeddings.CascadeKnn(embedded[q], kK));
+    }
+  }
+  t1 = now();
+  const double us_phase_total = us_per_rep(t0, t1);
+  t0 = now();
+  for (int rep = 0; rep < kPhaseReps; ++rep) {
+    for (int q = 0; q < kQueries; ++q) {
+      benchmark::DoNotOptimize(s.embeddings.ExactKnn(embedded[q], kK));
+    }
+  }
+  t1 = now();
+  const double us_phase_exact = us_per_rep(t0, t1);
+  const double us_select_walk = std::max(0.0, us_phase_total - us_bound);
+  TablePrinter ptable({"phase", "us/query", "share of cascade"});
+  ptable.AddRow({"bound (encode + BatchLowerBounds2)",
+                 TablePrinter::Num(us_bound, 4),
+                 TablePrinter::Num(us_bound / us_phase_total, 3)});
+  ptable.AddRow({"select + walk (rest)", TablePrinter::Num(us_select_walk, 4),
+                 TablePrinter::Num(us_select_walk / us_phase_total, 3)});
+  ptable.AddRow({"whole CascadeKnn (int8 on)",
+                 TablePrinter::Num(us_phase_total, 4), "1.000"});
+  ptable.AddRow({"exact kNN (ExactKnn)", TablePrinter::Num(us_phase_exact, 4),
+                 "-"});
+  ptable.Print();
+  std::cout << "Gate: cascade <= exact on the clock — cascade/exact = "
+            << TablePrinter::Num(us_phase_total / us_phase_exact, 3) << ".\n";
+
   JsonReport json;
   json.Set("bench", std::string("exp16_embedding_cascade"));
   json.Set("config.database", kDatabase);
@@ -422,6 +476,12 @@ void PrintTables() {
   json.Set("qcascade.float_bounds_per_query",
            per_query(int8_stats.bound_computations));
   json.Set("qcascade.mismatches", int8_mm);
+  json.Set("qcascade.phase.bound_us_per_query", us_bound);
+  json.Set("qcascade.phase.select_walk_us_per_query", us_select_walk);
+  json.Set("qcascade.phase.total_us_per_query", us_phase_total);
+  json.Set("qcascade.phase.exact_us_per_query", us_phase_exact);
+  json.Set("qcascade.phase.cascade_over_exact",
+           us_phase_total / us_phase_exact);
   // Storage-tier counters (DESIGN §3k): this experiment runs over the
   // RAM-resident store, so they must all be zero — the nonzero story is
   // E23's (BENCH_storage.json). Stamped here so the trajectory shows the

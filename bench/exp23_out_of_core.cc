@@ -22,6 +22,7 @@
 
 #include <sys/resource.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -316,6 +317,36 @@ void PrintTables() {
                "streams every row page through the pool on every query — "
                "the tier placement, measured.\n";
 
+  // Where a warm int8 query's time goes: the level −1 bound phase (query
+  // encode + BatchLowerBounds2 over the RAM-resident tier) against the whole
+  // CascadeKnn; select + walk (bounded heap, head sort, survivor probes) is
+  // the rest.
+  Banner("E23c: warm int8 cascade phases (ms/query)");
+  const QuantizedStore& qs = store->quantized();
+  std::vector<double> bounds(qs.size());
+  double bound_ms = 0, total_ms = 0;
+  for (const std::vector<double>& target : int8_targets) {
+    const auto a = std::chrono::steady_clock::now();
+    qs.BatchLowerBounds2(qs.EncodeQuery(target), bounds);
+    benchmark::DoNotOptimize(bounds.data());
+    const auto b = std::chrono::steady_clock::now();
+    CheckOk(store->CascadeKnn(target, kK).status(), "E23 phase cascade");
+    const auto c = std::chrono::steady_clock::now();
+    bound_ms += Ms(a, b) / static_cast<double>(int8_targets.size());
+    total_ms += Ms(b, c) / static_cast<double>(int8_targets.size());
+  }
+  std::vector<double>().swap(bounds);
+  const double select_walk_ms = std::max(0.0, total_ms - bound_ms);
+  TablePrinter ptable({"phase", "ms/query", "share of cascade"});
+  ptable.AddRow({"bound (encode + BatchLowerBounds2)",
+                 TablePrinter::Num(bound_ms, 3),
+                 TablePrinter::Num(bound_ms / total_ms, 3)});
+  ptable.AddRow({"select + walk (rest)", TablePrinter::Num(select_walk_ms, 3),
+                 TablePrinter::Num(select_walk_ms / total_ms, 3)});
+  ptable.AddRow({"whole CascadeKnn (int8 on, warm)",
+                 TablePrinter::Num(total_ms, 3), "1.000"});
+  ptable.Print();
+
   const double rss = PeakRssBytes();
   std::cout << "peak RSS " << TablePrinter::Num(rss / 1e9, 3) << " GB vs "
             << TablePrinter::Num(file_bytes / 1e9, 3)
@@ -375,6 +406,9 @@ void PrintTables() {
   json.Set("int8_cascade.bytes_quantized_per_query", bq);
   json.Set("int8_cascade.bytes_prefix_per_query", bp);
   json.Set("int8_cascade.bytes_refine_per_query", br);
+  json.Set("int8_cascade.phase.bound_ms_per_query", bound_ms);
+  json.Set("int8_cascade.phase.select_walk_ms_per_query", select_walk_ms);
+  json.Set("int8_cascade.phase.total_ms_per_query", total_ms);
   json.Set("rss.peak_bytes", rss);
   json.Set("rss.peak_over_file", rss / file_bytes);
   for (const ZipfPoint& p : curve) {

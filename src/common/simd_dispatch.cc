@@ -1,6 +1,9 @@
 #include "common/simd_dispatch.h"
 
+#include <algorithm>
+#include <array>
 #include <cassert>
+#include <cmath>
 #include <cstdlib>
 
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
@@ -25,6 +28,40 @@ void BlockSsdScalar(const int8_t* x, const int8_t* y, size_t n,
     out[b] = acc;
   }
 }
+
+// One row's bound from its block sums: the fixed per-row double sequence of
+// the BoundBatchFn contract. Every level's row tails run through here, and
+// its vector bodies replay it lane by lane.
+double BoundFromSums(const BoundBatch& batch, const int32_t* sums,
+                     double residual) {
+  double dq2 = 0.0;
+  for (size_t b = 0; b < batch.padded / kBlockDim; ++b) {
+    dq2 += batch.scales_sq[b] * static_cast<double>(sums[b]);
+  }
+  const double bound =
+      std::sqrt(dq2) * batch.shrink - residual - batch.query_residual;
+  return bound <= 0.0 ? 0.0 : bound * bound;
+}
+
+// Rows [first, rows) one at a time through a block-SSD kernel.
+void BoundRows(BlockSsdFn ssd, const BoundBatch& batch, size_t first,
+               size_t rows, double* out) {
+  std::array<int32_t, kMaxBlocks> sums;
+  for (size_t r = first; r < rows; ++r) {
+    ssd(batch.codes + r * batch.padded, batch.query, batch.padded,
+        sums.data());
+    out[r] = BoundFromSums(batch, sums.data(), batch.residuals[r]);
+  }
+}
+
+void BoundBatchScalar(const BoundBatch& batch, size_t rows, double* out) {
+  BoundRows(BlockSsdScalar, batch, 0, rows, out);
+}
+
+// Rows per vector step of the batched-bound kernels: one __m512d, two
+// __m256d. Block sums are staged transposed, sums[b][row], so the double
+// recombination runs across the 8 rows with each row's own operation order.
+constexpr size_t kGroupRows = 8;
 
 #if defined(FUZZYDB_SIMD_X86)
 
@@ -67,6 +104,87 @@ __attribute__((target("avx2"))) void BlockSsdAvx2(const int8_t* x,
     const __m128i sq = _mm_maddubs_epi16(ad, ad);
     out[b] = HSum4(_mm_madd_epi16(sq, _mm_set1_epi16(1)));
   }
+}
+
+// Per 128-bit lane, rows 0..3's sums of their four int32 lanes: v_i holds
+// row i's partial sums, four lanes per block, one block per 128-bit lane.
+__attribute__((target("avx2"))) __m256i TransposeAdd4(__m256i v0, __m256i v1,
+                                                      __m256i v2, __m256i v3) {
+  const __m256i t0 = _mm256_add_epi32(_mm256_unpacklo_epi32(v0, v1),
+                                      _mm256_unpackhi_epi32(v0, v1));
+  const __m256i t1 = _mm256_add_epi32(_mm256_unpacklo_epi32(v2, v3),
+                                      _mm256_unpackhi_epi32(v2, v3));
+  return _mm256_add_epi32(_mm256_unpacklo_epi64(t0, t1),
+                          _mm256_unpackhi_epi64(t0, t1));
+}
+
+// Row r's partial sums over blocks 2g and 2g+1: four int32 lanes per block,
+// one block per 128-bit lane (maddubs and madd stay in-lane). A trailing
+// odd block loads 16 codes into the low lane and leaves the high lane 0.
+__attribute__((target("avx2"))) __m256i PairPartialsAvx2(const int8_t* x,
+                                                         const int8_t* y,
+                                                         bool single) {
+  __m256i vx;
+  __m256i vy;
+  if (single) {
+    vx = _mm256_zextsi128_si256(
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(x)));
+    vy = _mm256_zextsi128_si256(
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(y)));
+  } else {
+    vx = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(x));
+    vy = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(y));
+  }
+  const __m256i ad = _mm256_abs_epi8(_mm256_sub_epi8(vx, vy));
+  return _mm256_madd_epi16(_mm256_maddubs_epi16(ad, ad),
+                           _mm256_set1_epi16(1));
+}
+
+__attribute__((target("avx2"))) void BoundBatchAvx2(const BoundBatch& batch,
+                                                    size_t rows, double* out) {
+  const size_t blocks = batch.padded / kBlockDim;
+  alignas(32) int32_t sums[kMaxBlocks][kGroupRows];
+  const __m256d shrink = _mm256_set1_pd(batch.shrink);
+  const __m256d query_residual = _mm256_set1_pd(batch.query_residual);
+  const __m256d zero = _mm256_setzero_pd();
+  size_t r = 0;
+  for (; r + kGroupRows <= rows; r += kGroupRows) {
+    const int8_t* base = batch.codes + r * batch.padded;
+    for (size_t b = 0; b < blocks; b += 2) {
+      const size_t off = b * kBlockDim;
+      const bool single = b + 1 == blocks;
+      __m256i v[kGroupRows];
+      for (size_t i = 0; i < kGroupRows; ++i) {
+        v[i] = PairPartialsAvx2(base + i * batch.padded + off,
+                                batch.query + off, single);
+      }
+      const __m256i lo = TransposeAdd4(v[0], v[1], v[2], v[3]);
+      const __m256i hi = TransposeAdd4(v[4], v[5], v[6], v[7]);
+      // sums[b] = rows 0..7 of block b; sums[b+1] likewise (all 0 past a
+      // trailing odd block, and never read).
+      _mm256_store_si256(reinterpret_cast<__m256i*>(sums[b]),
+                         _mm256_permute2x128_si256(lo, hi, 0x20));
+      _mm256_store_si256(reinterpret_cast<__m256i*>(sums[b + 1]),
+                         _mm256_permute2x128_si256(lo, hi, 0x31));
+    }
+    for (size_t half = 0; half < kGroupRows; half += 4) {
+      __m256d dq2 = _mm256_setzero_pd();
+      for (size_t b = 0; b < blocks; ++b) {
+        const __m256d ssd = _mm256_cvtepi32_pd(
+            _mm_load_si128(reinterpret_cast<const __m128i*>(sums[b] + half)));
+        dq2 = _mm256_add_pd(
+            dq2, _mm256_mul_pd(_mm256_set1_pd(batch.scales_sq[b]), ssd));
+      }
+      __m256d bound = _mm256_mul_pd(_mm256_sqrt_pd(dq2), shrink);
+      bound = _mm256_sub_pd(bound, _mm256_loadu_pd(batch.residuals + r + half));
+      bound = _mm256_sub_pd(bound, query_residual);
+      const __m256d clamp = _mm256_cmp_pd(bound, zero, _CMP_LE_OQ);
+      _mm256_storeu_pd(out + r + half,
+                       _mm256_blendv_pd(_mm256_mul_pd(bound, bound), zero,
+                                        clamp));
+    }
+  }
+  BoundRows(BlockSsdAvx2, batch, r, rows, out);
 }
 
 // GCC's avx512 cast/extract intrinsics expand through a deliberately
@@ -118,6 +236,78 @@ BlockSsdAvx512Vnni(const int8_t* x, const int8_t* y, size_t n, int32_t* out) {
     out[b] = HSum8Vnni(_mm256_dpwssd_epi32(_mm256_setzero_si256(), diff, diff));
   }
 }
+
+#define FUZZYDB_VNNI_TARGET \
+  __attribute__((target("avx512f,avx512bw,avx512vl,avx512vnni")))
+
+// The AVX2 TransposeAdd4 on four 128-bit lanes.
+FUZZYDB_VNNI_TARGET __m512i TransposeAdd4x4(__m512i v0, __m512i v1,
+                                            __m512i v2, __m512i v3) {
+  const __m512i t0 = _mm512_add_epi32(_mm512_unpacklo_epi32(v0, v1),
+                                      _mm512_unpackhi_epi32(v0, v1));
+  const __m512i t1 = _mm512_add_epi32(_mm512_unpacklo_epi32(v2, v3),
+                                      _mm512_unpackhi_epi32(v2, v3));
+  return _mm512_add_epi32(_mm512_unpacklo_epi64(t0, t1),
+                          _mm512_unpackhi_epi64(t0, t1));
+}
+
+// Four blocks per 512-bit step: |diff| bytes through vpdpbusd give int32
+// lanes of four squared diffs each, so block j of the step is lanes
+// 4j..4j+3 — one block per 128-bit lane, the layout TransposeAdd4x4 wants.
+// |diff| <= 126 fits both the unsigned and the signed operand, and a lane
+// sums at most 4 * 126^2. A tail step masks its loads: masked-out codes are
+// 0 on both sides, so the unused lanes sum to 0 and are never read.
+FUZZYDB_VNNI_TARGET void BoundBatchAvx512Vnni(const BoundBatch& batch,
+                                              size_t rows, double* out) {
+  const size_t blocks = batch.padded / kBlockDim;
+  constexpr size_t kStepCodes = 4 * kBlockDim;
+  alignas(64) int32_t sums[kMaxBlocks][kGroupRows];
+  const __m512i lo_index = _mm512_set_epi64(11, 10, 3, 2, 9, 8, 1, 0);
+  const __m512i hi_index = _mm512_set_epi64(15, 14, 7, 6, 13, 12, 5, 4);
+  const __m512d shrink = _mm512_set1_pd(batch.shrink);
+  const __m512d query_residual = _mm512_set1_pd(batch.query_residual);
+  const __m512d zero = _mm512_setzero_pd();
+  size_t r = 0;
+  for (; r + kGroupRows <= rows; r += kGroupRows) {
+    const int8_t* base = batch.codes + r * batch.padded;
+    for (size_t off = 0; off < batch.padded; off += kStepCodes) {
+      const size_t codes = std::min(kStepCodes, batch.padded - off);
+      const __mmask64 mask =
+          codes == kStepCodes ? ~__mmask64{0} : (__mmask64{1} << codes) - 1;
+      const __m512i q = _mm512_maskz_loadu_epi8(mask, batch.query + off);
+      __m512i v[kGroupRows];
+      for (size_t i = 0; i < kGroupRows; ++i) {
+        const __m512i x =
+            _mm512_maskz_loadu_epi8(mask, base + i * batch.padded + off);
+        const __m512i ad = _mm512_abs_epi8(_mm512_sub_epi8(x, q));
+        v[i] = _mm512_dpbusd_epi32(_mm512_setzero_si512(), ad, ad);
+      }
+      const __m512i lo = TransposeAdd4x4(v[0], v[1], v[2], v[3]);
+      const __m512i hi = TransposeAdd4x4(v[4], v[5], v[6], v[7]);
+      // Interleave 128-bit lanes: rows 0..7 of blocks j, j+1 | j+2, j+3.
+      const size_t b = off / kBlockDim;
+      _mm512_store_si512(sums[b], _mm512_permutex2var_epi64(lo, lo_index, hi));
+      _mm512_store_si512(sums[b + 2],
+                         _mm512_permutex2var_epi64(lo, hi_index, hi));
+    }
+    __m512d dq2 = _mm512_setzero_pd();
+    for (size_t b = 0; b < blocks; ++b) {
+      const __m512d ssd = _mm512_cvtepi32_pd(
+          _mm256_load_si256(reinterpret_cast<const __m256i*>(sums[b])));
+      dq2 = _mm512_add_pd(
+          dq2, _mm512_mul_pd(_mm512_set1_pd(batch.scales_sq[b]), ssd));
+    }
+    __m512d bound = _mm512_mul_pd(_mm512_sqrt_pd(dq2), shrink);
+    bound = _mm512_sub_pd(bound, _mm512_loadu_pd(batch.residuals + r));
+    bound = _mm512_sub_pd(bound, query_residual);
+    const __mmask8 clamp = _mm512_cmp_pd_mask(bound, zero, _CMP_LE_OQ);
+    _mm512_storeu_pd(out + r, _mm512_mask_blend_pd(
+                                  clamp, _mm512_mul_pd(bound, bound), zero));
+  }
+  BoundRows(BlockSsdAvx512Vnni, batch, r, rows, out);
+}
+
+#undef FUZZYDB_VNNI_TARGET
 
 #if defined(__GNUC__) && !defined(__clang__)
 #pragma GCC diagnostic pop
@@ -179,6 +369,22 @@ BlockSsdFn ResolveBlockSsd(Level level) {
   (void)level;
 #endif
   return BlockSsdScalar;
+}
+
+BoundBatchFn ResolveBoundBatch(Level level) {
+#if defined(FUZZYDB_SIMD_X86)
+  switch (level) {
+    case Level::kAvx512Vnni:
+      return BoundBatchAvx512Vnni;
+    case Level::kAvx2:
+      return BoundBatchAvx2;
+    case Level::kScalar:
+      return BoundBatchScalar;
+  }
+#else
+  (void)level;
+#endif
+  return BoundBatchScalar;
 }
 
 BlockSsdFn ActiveBlockSsd() {

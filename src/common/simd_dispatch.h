@@ -1,8 +1,9 @@
 // Runtime dispatch for the int8 quantized-distance kernels (DESIGN §3g).
 //
 // Three implementations of one contract — blockwise sums of squared int8
-// differences — selected once per process from CPUID plus an optional
-// FUZZYDB_SIMD environment override:
+// differences, per row (BlockSsdFn) or batched into the quantized tier's
+// lower bound over a block of rows (BoundBatchFn) — selected once per
+// process from CPUID plus an optional FUZZYDB_SIMD environment override:
 //
 //   kScalar      portable lane-free int32 loop; the only path on non-x86.
 //   kAvx2        _mm256_maddubs_epi16 over |diff| bytes: 32 codes per op.
@@ -55,12 +56,39 @@ constexpr size_t kBlockDim = 16;
 /// bit of headroom buys a 32-codes-per-instruction kernel.
 constexpr int kInt8CodeMax = 63;
 
+/// Hard cap on blocks per row (1024 dims), sizing the kernels' stack scratch.
+constexpr size_t kMaxBlocks = 64;
+
 /// Blockwise squared-difference sums: out[b] = sum over j in block b of
 /// (x[j] - y[j])^2, exact int32. `n` must be a multiple of kBlockDim and
 /// `out` must have n / kBlockDim entries. Codes must be in
 /// [-kInt8CodeMax, kInt8CodeMax]. Every Level computes bit-identical out[].
 using BlockSsdFn = void (*)(const int8_t* x, const int8_t* y, size_t n,
                             int32_t* out);
+
+/// One batch of the quantized tier's level −1 bound
+/// (image/quantized_store.h): consecutive rows of `padded` codes against one
+/// encoded query.
+struct BoundBatch {
+  const int8_t* codes = nullptr;      ///< rows * padded codes, row-major
+  const int8_t* query = nullptr;      ///< padded query codes
+  size_t padded = 0;  ///< multiple of kBlockDim, at most kMaxBlocks blocks
+  const double* scales_sq = nullptr;  ///< padded / kBlockDim weights s_b^2
+  const double* residuals = nullptr;  ///< per-row residual norms r_x
+  double query_residual = 0.0;        ///< r_t
+  double shrink = 1.0;                ///< relative safety factor on d~
+};
+
+/// Batched bounds: for every row r in [0, rows),
+///   d~^2   = sum over blocks b, ascending, of scales_sq[b] * SSD_b(r)
+///   out[r] = max(0, sqrt(d~^2) * shrink - residuals[r] - query_residual)^2
+/// with every product and sum a separate IEEE multiply or add (never fused)
+/// and a correctly rounded sqrt. The SSD_b are exact int32, so each row's
+/// double arithmetic is one fixed sequence and every Level is bit-identical
+/// to the scalar one — the vector levels run that sequence across rows, not
+/// across blocks.
+using BoundBatchFn = void (*)(const BoundBatch& batch, size_t rows,
+                              double* out);
 
 /// The widest level this CPU supports (CPUID; kScalar on non-x86 builds).
 Level Detect();
@@ -72,6 +100,10 @@ Level Active();
 /// Kernel for an explicit level — for the bit-identity tests and the forced
 /// CI legs. `level` must not exceed Detect() or the call may fault.
 BlockSsdFn ResolveBlockSsd(Level level);
+
+/// Batched-bound kernel for an explicit level; same contract as
+/// ResolveBlockSsd.
+BoundBatchFn ResolveBoundBatch(Level level);
 
 /// The production kernel: ResolveBlockSsd(Active()), cached.
 BlockSsdFn ActiveBlockSsd();

@@ -146,4 +146,18 @@ std::vector<ShardRange> MakeShards(size_t n, size_t shards) {
   return out;
 }
 
+size_t ResolveShards(size_t shards, ThreadPool* pool, size_t n) {
+  if (shards == 0) shards = pool != nullptr ? pool->executors() : 1;
+  return std::max<size_t>(1, std::min(shards, std::max<size_t>(n, 1)));
+}
+
+void RunShards(ThreadPool* pool, size_t shards,
+               const std::function<void(size_t)>& fn) {
+  if (pool != nullptr) {
+    pool->ParallelFor(shards, fn);
+  } else {
+    for (size_t s = 0; s < shards; ++s) fn(s);
+  }
+}
+
 }  // namespace fuzzydb

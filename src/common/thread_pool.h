@@ -145,6 +145,16 @@ struct ShardRange {
 /// Empty ranges are kept so indices align with shard numbers.
 std::vector<ShardRange> MakeShards(size_t n, size_t shards);
 
+/// The shard count a sharded scan over n rows actually uses: `shards`, or
+/// one per pool executor when 0 (serial without a pool), clamped to
+/// [1, max(n, 1)].
+size_t ResolveShards(size_t shards, ThreadPool* pool, size_t n);
+
+/// Runs fn(shard_index) for every shard, on `pool` when given, else inline
+/// in shard order.
+void RunShards(ThreadPool* pool, size_t shards,
+               const std::function<void(size_t)>& fn);
+
 }  // namespace fuzzydb
 
 #endif  // FUZZYDB_COMMON_THREAD_POOL_H_

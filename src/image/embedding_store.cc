@@ -14,8 +14,6 @@ namespace fuzzydb {
 namespace {
 
 using knn_internal::KeepKSmallest;
-using knn_internal::ResolveShards;
-using knn_internal::RunShards;
 using knn_internal::ToOutput;
 
 // Zero-cost row access over the contiguous aligned buffer; never fails.

@@ -31,8 +31,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <functional>
-#include <numeric>
+#include <memory>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -136,21 +136,6 @@ inline std::vector<std::pair<size_t, double>> ToOutput(
   return out;
 }
 
-// Runs fn(shard_index) for every shard, on the pool when given.
-inline void RunShards(ThreadPool* pool, size_t shards,
-                      const std::function<void(size_t)>& fn) {
-  if (pool != nullptr) {
-    pool->ParallelFor(shards, fn);
-  } else {
-    for (size_t s = 0; s < shards; ++s) fn(s);
-  }
-}
-
-inline size_t ResolveShards(size_t shards, ThreadPool* pool, size_t n) {
-  if (shards == 0) shards = pool != nullptr ? pool->executors() : 1;
-  return std::max<size_t>(1, std::min(shards, std::max<size_t>(n, 1)));
-}
-
 // The exact top-k kernel restricted to rows [range.begin, range.end):
 // appends up to k local-best (d^2, index) pairs to `best` (unsorted).
 // Returns false iff the accessor failed mid-shard (partial `best` must be
@@ -169,11 +154,32 @@ bool ExactKnnShard(RowAccessor& rows, const double* FUZZYDB_RESTRICT target,
   return true;
 }
 
+// Candidates the threshold-first walk takes from the bound scan before it
+// knows its k-th best distance: the c in c·k. Fixed, not tuned — it only
+// decides how often the fallback pass runs, never what the walk visits.
+inline constexpr size_t kCascadeHeadFactor = 4;
+
+// Rows per level −1 bound block: one batched-kernel call, then the heap
+// update over that block while its bounds are still in L1.
+inline constexpr size_t kCascadeBoundBlockRows = 512;
+
 // The cascade restricted to rows [range.begin, range.end): appends up to
 // k local best (d^2, index) pairs to `best` (unsorted) and adds this
 // shard's counters to `stats`. `qquery` non-null runs the int8 level −1
 // (over `qs`, indexed by *global* row number) in place of the all-rows
 // float prefix scan. Returns false iff the accessor failed mid-shard.
+//
+// The walk visits candidates in ascending (bound, index) order until the
+// strict-> halt, without sorting all n rows (DESIGN §3b):
+//   1. one pass computes every row's bound and keeps the c·k smallest
+//      (bound, index) pairs in a bounded max-heap — exactly the first c·k
+//      entries of the full ascending order;
+//   2. the walk runs over those, sorted;
+//   3. if it has not halted, tau = the current k-th best d^2, and the rows
+//      past the last visited pair with bound <= tau are sorted and walked
+//      next. The k-th best only falls as the walk goes on, so the full order
+//      would have halted at the first row with bound > tau anyway: same rows,
+//      same order, same answers and counters as sorting everything.
 template <typename RowAccessor>
 bool CascadeShard(RowAccessor& rows, const double* FUZZYDB_RESTRICT t,
                   size_t dim, size_t k, const CascadeOptions& options,
@@ -181,9 +187,10 @@ bool CascadeShard(RowAccessor& rows, const double* FUZZYDB_RESTRICT t,
                   const QuantizedStore::EncodedQuery* qquery, ShardRange range,
                   std::vector<std::pair<double, size_t>>* best,
                   CascadeStats* stats) {
+  using Candidate = std::pair<double, size_t>;  // (bound, local index)
   const size_t n = range.size();
-  if (n == 0) return true;
   k = std::min(k, n);
+  if (k == 0) return true;
   const size_t s0 = std::clamp<size_t>(options.prefix_dim, 1, dim);
   const size_t step = std::max<size_t>(options.step, 1);
 
@@ -191,35 +198,47 @@ bool CascadeShard(RowAccessor& rows, const double* FUZZYDB_RESTRICT t,
   // the int8 level −1 (quantized codes, ~1 byte/dim) or the float s0-dim
   // prefix (8 bytes/dim over s0 of dim dims). Both are admissible lower
   // bounds on d^2, so either ordering admits early termination with no
-  // false dismissals. In float mode the accumulator state is kept so
-  // refinement can resume from the prefix without recomputing it.
-  std::vector<SquaredDistanceAccumulator> prefix;
-  std::vector<double> bound(n);
+  // false dismissals. The c·k smallest (bound, index) pairs are kept in a
+  // max-heap as the bounds come in; rows arrive in ascending index order,
+  // so a newcomer displaces the top only on a strictly smaller bound.
+  // Every entry is written by the bound pass before anything reads it.
+  const std::unique_ptr<double[]> bound =
+      std::make_unique_for_overwrite<double[]>(n);
+  std::vector<Candidate> head;
+  const size_t head_size = std::min(n, kCascadeHeadFactor * k);
+  head.reserve(head_size);
+  auto offer = [&head, head_size](double b, size_t i) {
+    if (head.size() < head_size) {
+      head.emplace_back(b, i);
+      std::push_heap(head.begin(), head.end());
+    } else if (b < head.front().first) {
+      std::pop_heap(head.begin(), head.end());
+      head.back() = {b, i};
+      std::push_heap(head.begin(), head.end());
+    }
+  };
   if (qquery != nullptr) {
-    for (size_t i = 0; i < n; ++i) {
-      bound[i] = qs->LowerBound2(*qquery, range.begin + i);
+    for (size_t first = 0; first < n; first += kCascadeBoundBlockRows) {
+      const size_t len = std::min(kCascadeBoundBlockRows, n - first);
+      qs->LowerBounds2(*qquery, range.begin + first,
+                       std::span<double>(bound.get() + first, len));
+      for (size_t i = first; i < first + len; ++i) offer(bound[i], i);
     }
     stats->quantized_bound_computations += n;
     stats->bytes_scanned_quantized += n * qs->row_bytes();
   } else {
-    prefix.resize(n);
     for (size_t i = 0; i < n; ++i) {
       const double* FUZZYDB_RESTRICT row = rows.Acquire(range.begin + i);
       if (row == nullptr) return false;
-      prefix[i].Accumulate(row, t, 0, s0);
-      bound[i] = prefix[i].Total();
+      SquaredDistanceAccumulator prefix;
+      prefix.Accumulate(row, t, 0, s0);
+      bound[i] = prefix.Total();
+      offer(bound[i], i);
     }
     stats->bound_computations += n;
     stats->bytes_scanned_prefix += n * s0 * sizeof(double);
   }
-
-  // Visit candidates in ascending (bound, index) order.
-  std::vector<size_t> order(n);
-  std::iota(order.begin(), order.end(), size_t{0});
-  std::sort(order.begin(), order.end(), [&bound](size_t a, size_t b) {
-    if (bound[a] != bound[b]) return bound[a] < bound[b];
-    return a < b;
-  });
+  std::sort_heap(head.begin(), head.end());
 
   // Current k best as (d^2, global index); "worst" is the lexicographic
   // maximum, matching ExactKnn's tie-break (distance ascending, then index).
@@ -232,32 +251,32 @@ bool CascadeShard(RowAccessor& rows, const double* FUZZYDB_RESTRICT t,
     }
   };
 
-  for (size_t local_idx : order) {
-    const double b = bound[local_idx];
+  enum class Step { kNext, kHalt, kFailed };
+  auto visit = [&](double b, size_t local_idx) {
     // Strict >: a candidate whose bound ties the worst d^2 could still win
     // its tie on index, so only a strictly larger bound ends the scan.
-    if (best->size() == k && b > (*best)[worst_pos].first) break;
+    if (best->size() == k && b > (*best)[worst_pos].first) return Step::kHalt;
 
     // Refine dimension-incrementally from the prefix, early-exiting as soon
     // as the partial sum (a valid lower bound at every length) provably
     // exceeds the current k-th best.
     const size_t idx = range.begin + local_idx;
     const double* FUZZYDB_RESTRICT row = rows.Acquire(idx);
-    if (row == nullptr) return false;
+    if (row == nullptr) return Step::kFailed;
     SquaredDistanceAccumulator acc;
+    // Level 0 from the row just fetched: the same lane state the bound pass
+    // built, so resuming from it is bit-identical to having kept it.
+    acc.Accumulate(row, t, 0, s0);
+    stats->bytes_scanned_prefix += s0 * sizeof(double);
     bool pruned = false;
     if (qquery != nullptr) {
       // Level 0 runs lazily: the float prefix is read only for candidates
       // the int8 bound could not dismiss. Its own bound can prune a
       // candidate the walk ordering (keyed on the quantized bound) let
       // through — a skip of this candidate, never a halt of the walk.
-      acc.Accumulate(row, t, 0, s0);
       ++stats->bound_computations;
-      stats->bytes_scanned_prefix += s0 * sizeof(double);
       pruned = s0 < dim && best->size() == k &&
                acc.Total() > (*best)[worst_pos].first;
-    } else {
-      acc = prefix[local_idx];
     }
     size_t j = s0;
     while (j < dim && !pruned) {
@@ -292,7 +311,7 @@ bool CascadeShard(RowAccessor& rows, const double* FUZZYDB_RESTRICT t,
     stats->dims_accumulated += j - s0;
     stats->bytes_scanned_refine += (j - s0) * sizeof(double);
     if (j == dim) ++stats->full_distance_computations;
-    if (pruned) continue;
+    if (pruned) return Step::kNext;
 
     const double d2 = acc.Total();
     if (best->size() < k) {
@@ -302,8 +321,37 @@ bool CascadeShard(RowAccessor& rows, const double* FUZZYDB_RESTRICT t,
       (*best)[worst_pos] = {d2, idx};
       recompute_worst();
     }
+    return Step::kNext;
+  };
+  // Walks `list` in order; true iff the walk must go no further.
+  auto walk = [&](const std::vector<Candidate>& list, bool* ok) {
+    for (const auto& [b, local_idx] : list) {
+      const Step step_result = visit(b, local_idx);
+      if (step_result == Step::kNext) continue;
+      *ok = step_result != Step::kFailed;
+      return true;
+    }
+    return false;
+  };
+
+  bool ok = true;
+  if (walk(head, &ok) || head.size() == n) return ok;
+
+  // Fallback: c·k candidates were not enough. Every one was either kept or
+  // pruned against a full top-k, so `best` holds k entries and tau is final
+  // as an upper limit: only rows past the walked prefix with bound <= tau
+  // can still be visited.
+  const double tau = (*best)[worst_pos].first;
+  const Candidate last = head.back();
+  std::vector<Candidate> tail;
+  for (size_t i = 0; i < n; ++i) {
+    if (bound[i] <= tau && Candidate(bound[i], i) > last) {
+      tail.emplace_back(bound[i], i);
+    }
   }
-  return true;
+  std::sort(tail.begin(), tail.end());
+  walk(tail, &ok);
+  return ok;
 }
 
 }  // namespace knn_internal

@@ -1,7 +1,6 @@
 #include "image/quantized_store.h"
 
 #include <algorithm>
-#include <array>
 #include <cassert>
 #include <cmath>
 
@@ -29,15 +28,6 @@ int8_t QuantizeValue(double value, double scale) {
     return static_cast<int8_t>(-simd::kInt8CodeMax);
   }
   return static_cast<int8_t>(std::lround(scaled));
-}
-
-void RunShards(ThreadPool* pool, size_t shards,
-               const std::function<void(size_t)>& fn) {
-  if (pool != nullptr) {
-    pool->ParallelFor(shards, fn);
-  } else {
-    for (size_t s = 0; s < shards; ++s) fn(s);
-  }
 }
 
 }  // namespace
@@ -71,7 +61,7 @@ QuantizedStore QuantizedStore::FromParts(size_t size, size_t dim,
   assert(scales.size() == store.blocks_ && residuals.size() == size &&
          codes.size() == size * store.padded_);
   store.kernel_level_ = simd::Active();
-  store.kernel_ = simd::ResolveBlockSsd(store.kernel_level_);
+  store.kernel_ = simd::ResolveBoundBatch(store.kernel_level_);
   store.scales_ = std::move(scales);
   store.scales_sq_.resize(store.blocks_);
   for (size_t b = 0; b < store.blocks_; ++b) {
@@ -92,7 +82,7 @@ QuantizedStore QuantizedStore::Build(const double* rows, size_t size,
   store.blocks_ = (dim + kBlockDim - 1) / kBlockDim;
   store.padded_ = store.blocks_ * kBlockDim;
   store.kernel_level_ = simd::Active();
-  store.kernel_ = simd::ResolveBlockSsd(store.kernel_level_);
+  store.kernel_ = simd::ResolveBoundBatch(store.kernel_level_);
 
   // Per-block scales from the data's own maxima: stored codes never clamp.
   store.scales_.assign(store.blocks_, 0.0);
@@ -130,19 +120,23 @@ QuantizedStore::EncodedQuery QuantizedStore::EncodeQuery(
 }
 
 double QuantizedStore::LowerBound2(const EncodedQuery& query, size_t i) const {
-  std::array<int32_t, kMaxBlocks> block_sums;
-  kernel_(codes_.data() + i * padded_, query.codes.data(), padded_,
-          block_sums.data());
-  // Fixed ascending-block recombination: deterministic in (store, query),
-  // independent of kernel level and shard split.
-  double dq2 = 0.0;
-  for (size_t b = 0; b < blocks_; ++b) {
-    dq2 += scales_sq_[b] * static_cast<double>(block_sums[b]);
-  }
-  const double bound = std::sqrt(dq2) * (1.0 - kBoundSafety) - residuals_[i] -
-                       query.residual;
-  if (bound <= 0.0) return 0.0;
-  return bound * bound;
+  double bound = 0.0;
+  LowerBounds2(query, i, std::span<double>(&bound, 1));
+  return bound;
+}
+
+void QuantizedStore::LowerBounds2(const EncodedQuery& query, size_t first,
+                                  std::span<double> out) const {
+  assert(first + out.size() <= size_);
+  simd::BoundBatch batch;
+  batch.codes = codes_.data() + first * padded_;
+  batch.query = query.codes.data();
+  batch.padded = padded_;
+  batch.scales_sq = scales_sq_.data();
+  batch.residuals = residuals_.data() + first;
+  batch.query_residual = query.residual;
+  batch.shrink = 1.0 - kBoundSafety;
+  kernel_(batch, out.size(), out.data());
 }
 
 void QuantizedStore::BatchLowerBounds2(const EncodedQuery& query,
@@ -154,13 +148,11 @@ void QuantizedStore::BatchLowerBounds2(const EncodedQuery& query,
                                        std::span<double> out, ThreadPool* pool,
                                        size_t shards) const {
   assert(out.size() == size_);
-  if (shards == 0) shards = pool != nullptr ? pool->executors() : 1;
-  shards = std::max<size_t>(1, std::min(shards, std::max<size_t>(size_, 1)));
-  const std::vector<ShardRange> ranges = MakeShards(size_, shards);
+  const std::vector<ShardRange> ranges =
+      MakeShards(size_, ResolveShards(shards, pool, size_));
   RunShards(pool, ranges.size(), [&](size_t s) {
-    for (size_t i = ranges[s].begin; i < ranges[s].end; ++i) {
-      out[i] = LowerBound2(query, i);
-    }
+    LowerBounds2(query, ranges[s].begin,
+                 out.subspan(ranges[s].begin, ranges[s].size()));
   });
 }
 

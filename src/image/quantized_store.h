@@ -58,7 +58,7 @@ class QuantizedStore {
   /// Dimensions per scale block (= the kernel block size).
   static constexpr size_t kBlockDim = simd::kBlockDim;
   /// Hard cap on blocks per row, sizing the kernel's stack scratch.
-  static constexpr size_t kMaxBlocks = 64;
+  static constexpr size_t kMaxBlocks = simd::kMaxBlocks;
 
   QuantizedStore() = default;
 
@@ -132,6 +132,13 @@ class QuantizedStore {
   /// i and the encoded target: max(0, d~ * (1 - 1e-9) - r_x - r_t)^2.
   double LowerBound2(const EncodedQuery& query, size_t i) const;
 
+  /// out[r] = LowerBound2(query, first + r) for every r < out.size(), through
+  /// one call of the batched kernel (simd::BoundBatchFn): the level −1 scan
+  /// of a row block. LowerBound2 is the one-row call, and the kernel contract
+  /// makes a row's bound independent of the batch it is computed in.
+  void LowerBounds2(const EncodedQuery& query, size_t first,
+                    std::span<double> out) const;
+
   /// Level −1 batch scan: out[i] = LowerBound2(query, i) for every row, one
   /// contiguous pass over the int8 buffer.
   void BatchLowerBounds2(const EncodedQuery& query,
@@ -150,7 +157,7 @@ class QuantizedStore {
   size_t padded_ = 0;
   size_t blocks_ = 0;
   simd::Level kernel_level_ = simd::Level::kScalar;
-  simd::BlockSsdFn kernel_ = nullptr;
+  simd::BoundBatchFn kernel_ = nullptr;
   std::vector<double> scales_;     // per block
   std::vector<double> scales_sq_;  // s_b^2, the recombination coefficients
   std::vector<double> residuals_;  // per row

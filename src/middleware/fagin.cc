@@ -88,8 +88,10 @@ Result<TopKResult> FaginTopK(std::span<GradedSource* const> sources,
   k = std::min(k, candidates.size());
   std::partial_sort(candidates.begin(), candidates.begin() + static_cast<long>(k),
                     candidates.end(), GradeDescending);
-  candidates.resize(k);
-  result.items = std::move(candidates);
+  // Copy out the k winners: resize(k) would keep the capacity reserved for
+  // every seen object.
+  result.items.assign(candidates.begin(),
+                      candidates.begin() + static_cast<long>(k));
   set.Finalize(&result);
   return result;
 }
@@ -163,11 +165,9 @@ Result<TopKResult> FaginCursor::NextBatch(size_t k) {
   k = std::min(k, pool.size());
   std::partial_sort(pool.begin(), pool.begin() + static_cast<long>(k),
                     pool.end(), GradeDescending);
-  pool.resize(k);
-  for (const GradedObject& g : pool) emitted_.insert(g.id);
-
   TopKResult result;
-  result.items = std::move(pool);
+  result.items.assign(pool.begin(), pool.begin() + static_cast<long>(k));
+  for (const GradedObject& g : result.items) emitted_.insert(g.id);
   result.cost = cost_;
   return result;
 }

@@ -14,8 +14,6 @@ namespace storage {
 namespace {
 
 using knn_internal::KeepKSmallest;
-using knn_internal::ResolveShards;
-using knn_internal::RunShards;
 using knn_internal::ToOutput;
 
 constexpr uint64_t kNoPage = ~uint64_t{0};

@@ -9,6 +9,8 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
 #include <vector>
 
 #include "common/random.h"
@@ -53,6 +55,60 @@ TEST(SimdDispatchTest, EveryRunnableKernelMatchesScalarBitForBit) {
         for (size_t b = 0; b < blocks; ++b) {
           ASSERT_EQ(got[b], want[b])
               << simd::Name(level) << " blocks=" << blocks << " block=" << b;
+        }
+      }
+    }
+  }
+}
+
+// The scalar batched bound, written out from the BoundBatchFn contract.
+double ReferenceBound(const simd::BoundBatch& batch, size_t r) {
+  double dq2 = 0.0;
+  for (size_t b = 0; b < batch.padded / simd::kBlockDim; ++b) {
+    int32_t ssd = 0;
+    for (size_t j = b * simd::kBlockDim; j < (b + 1) * simd::kBlockDim; ++j) {
+      const int32_t d = batch.codes[r * batch.padded + j] - batch.query[j];
+      ssd += d * d;
+    }
+    dq2 += batch.scales_sq[b] * static_cast<double>(ssd);
+  }
+  const double bound =
+      std::sqrt(dq2) * batch.shrink - batch.residuals[r] - batch.query_residual;
+  return bound <= 0.0 ? 0.0 : bound * bound;
+}
+
+TEST(SimdDispatchTest, EveryRunnableBoundBatchMatchesTheContractBitForBit) {
+  Rng rng(519);
+  // Block counts hit the vector steps' full and partial tails; row counts
+  // hit whole 8-row groups and every row tail.
+  for (size_t blocks : {1u, 2u, 3u, 4u, 5u, 7u, 64u}) {
+    const size_t padded = blocks * simd::kBlockDim;
+    for (size_t rows : {1u, 7u, 8u, 9u, 16u, 23u}) {
+      const std::vector<int8_t> codes = RandomCodes(&rng, rows * padded);
+      const std::vector<int8_t> query = RandomCodes(&rng, padded);
+      std::vector<double> scales_sq(blocks);
+      for (double& s : scales_sq) s = 1e-4 * rng.NextDouble();
+      std::vector<double> residuals(rows);
+      // Large residuals clamp some rows to 0; small ones keep the rest.
+      for (double& r : residuals) {
+        r = rng.NextDouble() * (rng.NextBernoulli(0.3) ? 10.0 : 0.01);
+      }
+      simd::BoundBatch batch;
+      batch.codes = codes.data();
+      batch.query = query.data();
+      batch.padded = padded;
+      batch.scales_sq = scales_sq.data();
+      batch.residuals = residuals.data();
+      batch.query_residual = 0.003;
+      batch.shrink = 1.0 - 1e-9;
+      for (simd::Level level : SupportedLevels()) {
+        std::vector<double> out(rows, -1.0);
+        simd::ResolveBoundBatch(level)(batch, rows, out.data());
+        for (size_t r = 0; r < rows; ++r) {
+          ASSERT_EQ(std::bit_cast<uint64_t>(out[r]),
+                    std::bit_cast<uint64_t>(ReferenceBound(batch, r)))
+              << simd::Name(level) << " blocks=" << blocks << " rows=" << rows
+              << " row=" << r;
         }
       }
     }

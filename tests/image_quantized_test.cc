@@ -13,9 +13,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <thread>
 
+#include "cascade_oracle.h"
 #include "common/squared_distance.h"
 #include "image/embedding_store.h"
 #include "image/quadratic_distance.h"
@@ -161,6 +163,58 @@ TEST(QuantizedStoreTest, AdversarialScaleBlockStaysAdmissible) {
   }
 }
 
+EmbeddingStore RandomStore(Rng* rng, size_t n, size_t dim) {
+  EmbeddingStore store(n, dim);
+  for (size_t i = 0; i < n; ++i) {
+    for (double& v : store.MutableRow(i)) v = rng->NextDouble() - 0.5;
+  }
+  store.BuildQuantized();
+  return store;
+}
+
+TEST(QuantizedStoreTest, BatchedKernelMatchesPerRowLowerBoundBitForBit) {
+  // LowerBounds2 runs the batched kernel of the active level (the simd CI
+  // leg forces each one); LowerBound2 is the per-row reference. Dims cover
+  // a single code, partial / whole / just-over blocks, and a 4-block row;
+  // the (first, len) windows cover 8-row groups and their row tails.
+  Rng rng(6073);
+  for (size_t dim : {1u, 15u, 16u, 17u, 33u, 64u}) {
+    const EmbeddingStore store = RandomStore(&rng, 203, dim);
+    const QuantizedStore& qs = store.quantized();
+    for (int q = 0; q < 3; ++q) {
+      // q == 2 queries a stored row, so some bounds clamp to 0.
+      std::vector<double> target(store.Row(q == 2 ? 11 : 0).begin(),
+                                 store.Row(q == 2 ? 11 : 0).end());
+      if (q < 2) {
+        for (double& v : target) v = rng.NextDouble() - 0.5;
+      }
+      const QuantizedStore::EncodedQuery enc = qs.EncodeQuery(target);
+      std::vector<double> want(qs.size());
+      for (size_t i = 0; i < qs.size(); ++i) want[i] = qs.LowerBound2(enc, i);
+      const std::pair<size_t, size_t> windows[] = {
+          {0, 203}, {0, 1}, {3, 7}, {5, 8}, {1, 9}, {13, 17}, {40, 64},
+          {194, 9}, {202, 1}};
+      for (const auto& [first, len] : windows) {
+        std::vector<double> got(len, -1.0);
+        qs.LowerBounds2(enc, first, got);
+        for (size_t r = 0; r < len; ++r) {
+          ASSERT_EQ(std::bit_cast<uint64_t>(got[r]),
+                    std::bit_cast<uint64_t>(want[first + r]))
+              << "dim=" << dim << " q=" << q << " first=" << first
+              << " row=" << first + r;
+        }
+      }
+      std::vector<double> all(qs.size());
+      qs.BatchLowerBounds2(enc, all);
+      for (size_t i = 0; i < qs.size(); ++i) {
+        ASSERT_EQ(std::bit_cast<uint64_t>(all[i]),
+                  std::bit_cast<uint64_t>(want[i]))
+            << "dim=" << dim << " q=" << q << " i=" << i;
+      }
+    }
+  }
+}
+
 TEST(QuantizedStoreTest, BatchLowerBoundsShardedIsBitIdenticalToSerial) {
   Rng rng(6047);
   Palette palette = Palette::Uniform(32, &rng);
@@ -288,6 +342,107 @@ TEST_F(QuantizedCascadeTest, EmptyAndEdgeCasesStayExact) {
   ASSERT_EQ(got.size(), 1u);
   EXPECT_EQ(got[0].first, 7u);
   EXPECT_EQ(got[0].second, 0.0);
+}
+
+// ---- The threshold-first walk against the full-sort oracle --------------
+
+using testing_oracle::WalkLabel;
+using testing_oracle::WalkOptions;
+
+struct RamRows {
+  const EmbeddingStore* store;
+  const double* Acquire(size_t i) const { return store->Row(i).data(); }
+};
+
+// Runs CascadeKnn (sharded on a pool) and the full-sort oracle (serial
+// shards) and checks answers and counters; returns the walk's counters.
+CascadeStats ExpectOracleWalk(const EmbeddingStore& store,
+                              std::span<const double> target, size_t k,
+                              const CascadeOptions& options, size_t shards,
+                              ThreadPool* pool, const std::string& label) {
+  CascadeStats want;
+  const auto expected = testing_oracle::FullSortCascadeKnn(
+      [&store] { return RamRows{&store}; }, store.size(), store.dim(), target,
+      k, options, store.has_quantized() ? &store.quantized() : nullptr,
+      shards, &want);
+  CascadeStats got;
+  ExpectIdentical(store.CascadeKnn(target, k, options, &got, pool, shards),
+                  expected, label);
+  const bool quantized = options.use_quantized && store.has_quantized();
+  testing_oracle::ExpectSameWalk(
+      got, want, quantized,
+      std::clamp<size_t>(options.prefix_dim, 1, store.dim()), label);
+  return got;
+}
+
+TEST_F(QuantizedCascadeTest, ThresholdWalkMatchesFullSortOracle) {
+  ThreadPool pool(4);
+  const size_t n = store_.size();
+  for (const CascadeOptions& options : WalkOptions()) {
+    for (size_t k : {size_t{1}, size_t{10}, n - 1, n, n + 3}) {
+      for (size_t shards : {1u, 2u, 7u}) {
+        ExpectOracleWalk(store_, targets_[k % targets_.size()], k, options,
+                         shards, &pool,
+                         WalkLabel("random", options, k, shards));
+      }
+    }
+  }
+}
+
+TEST(QuantizedWalkTest, ZeroBoundTieStormRunsTheFallbackIdentically) {
+  const size_t n = 300;
+  const size_t dim = 24;
+  const testing_oracle::ZeroBoundStorm storm =
+      testing_oracle::MakeZeroBoundStorm(n, dim, /*shared_dims=*/8, 6079);
+  EmbeddingStore store(n, dim);
+  for (size_t i = 0; i < n; ++i) {
+    std::copy(storm.rows[i].begin(), storm.rows[i].end(),
+              store.MutableRow(i).begin());
+  }
+  store.BuildQuantized();
+  // The storm is real: every level −1 bound is 0.
+  std::vector<double> bounds(n);
+  store.quantized().BatchLowerBounds2(
+      store.quantized().EncodeQuery(storm.target), bounds);
+  for (double b : bounds) ASSERT_EQ(b, 0.0);
+
+  ThreadPool pool(4);
+  for (const CascadeOptions& options : WalkOptions()) {
+    for (size_t k : {size_t{1}, size_t{5}, n - 1, n}) {
+      for (size_t shards : {1u, 2u, 7u}) {
+        const CascadeStats got =
+            ExpectOracleWalk(store, storm.target, k, options, shards, &pool,
+                             WalkLabel("storm", options, k, shards));
+        if (options.prefix_dim <= 8 &&
+            knn_internal::kCascadeHeadFactor * k < n / shards) {
+          // No bound can halt the walk, so it runs past the c·k head in
+          // every shard: the fallback pass ran.
+          EXPECT_EQ(got.candidates_refined, n)
+              << WalkLabel("storm", options, k, shards);
+        }
+      }
+    }
+  }
+}
+
+TEST_F(QuantizedCascadeTest, DuplicateRowsWalkMatchesFullSortOracle) {
+  Rng rng(6089);
+  std::vector<Histogram> distinct = RandomDatabase(&rng, 5, 64);
+  std::vector<Histogram> db;
+  for (int copy = 0; copy < 21; ++copy) {
+    for (const Histogram& h : distinct) db.push_back(h);
+  }
+  const EmbeddingStore store = *EmbeddingStore::Build(qfd_, db);
+  const std::vector<double> target = qfd_.Embed(distinct[2]);
+  ThreadPool pool(4);
+  for (const CascadeOptions& options : WalkOptions()) {
+    for (size_t k : {size_t{1}, size_t{23}, db.size() - 1, db.size() + 1}) {
+      for (size_t shards : {1u, 2u, 7u}) {
+        ExpectOracleWalk(store, target, k, options, shards, &pool,
+                         WalkLabel("duplicates", options, k, shards));
+      }
+    }
+  }
 }
 
 }  // namespace

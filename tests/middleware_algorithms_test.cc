@@ -166,6 +166,20 @@ TEST(CostAccountingTest, FaginBeatsNaiveOnLargeIndependentInputs) {
   EXPECT_LE(ta->cost.total(), fagin->cost.total() * 3);
 }
 
+TEST(CostAccountingTest, FaginResultHoldsExactlyK) {
+  // A0 grades every object it sees; the result must not keep that
+  // candidate pool's capacity alive.
+  Rng rng(239);
+  Workload w = IndependentUniform(&rng, 20000, 2);
+  Result<std::vector<VectorSource>> sources = w.MakeSources();
+  ASSERT_TRUE(sources.ok());
+  std::vector<GradedSource*> ptrs = SourcePtrs(*sources);
+  Result<TopKResult> fagin = FaginTopK(ptrs, *MinRule(), 10);
+  ASSERT_TRUE(fagin.ok());
+  EXPECT_EQ(fagin->items.size(), 10u);
+  EXPECT_LE(fagin->items.capacity(), 10u);
+}
+
 TEST(DisjunctionTest, MatchesNaiveUnderMaxRule) {
   Rng rng(241);
   Workload w = IndependentUniform(&rng, 300, 3);

@@ -60,6 +60,24 @@ TEST(FaginCursorTest, BatchesNeverRepeatObjects) {
   }
 }
 
+TEST(FaginCursorTest, BatchHoldsExactlyK) {
+  // Each batch is selected from every graded, un-emitted object; the
+  // returned vector must not keep that pool's capacity.
+  Rng rng(283);
+  Workload w = IndependentUniform(&rng, 5000, 2);
+  Result<std::vector<VectorSource>> sources = w.MakeSources();
+  ASSERT_TRUE(sources.ok());
+  std::vector<GradedSource*> ptrs = SourcePtrs(*sources);
+  Result<FaginCursor> cursor = FaginCursor::Create(ptrs, MinRule());
+  ASSERT_TRUE(cursor.ok());
+  for (int b = 0; b < 3; ++b) {
+    Result<TopKResult> batch = cursor->NextBatch(10);
+    ASSERT_TRUE(batch.ok());
+    EXPECT_EQ(batch->items.size(), 10u);
+    EXPECT_LE(batch->items.capacity(), 10u);
+  }
+}
+
 TEST(FaginCursorTest, CostGrowsIncrementally) {
   // The second batch should cost much less than running A0 from scratch
   // for 2k, because sorted access resumes and random accesses are cached.

@@ -20,8 +20,10 @@
 
 #include "analysis/storage_audit.h"
 #include "image/image_store.h"
+#include "storage/buffer_pool.h"
 #include "storage/column_file.h"
 #include "storage/ingest.h"
+#include "tests/cascade_oracle.h"
 
 namespace fuzzydb {
 namespace storage {
@@ -220,6 +222,148 @@ TEST(PagedStoreTest, QuantizedTierCanBeDisabledAtOpen) {
   ASSERT_TRUE(cascade.ok());
   EXPECT_EQ(*exact, *cascade);
   std::remove(fx.path.c_str());
+}
+
+// ---- The threshold-first walk against the full-sort oracle --------------
+//
+// The paged cascade must visit the same rows in the same order as the
+// full-sort walk, so from equal fresh pools even the buffer-pool counters
+// agree. The oracle reads rows through its own BufferPool of the store's
+// geometry, filled by the store's raw page reads.
+
+using testing_oracle::WalkLabel;
+using testing_oracle::WalkOptions;
+
+class OracleRows {
+ public:
+  OracleRows(BufferPool* pool, size_t rows_per_page, size_t stride)
+      : pool_(pool), rows_per_page_(rows_per_page), stride_(stride) {}
+
+  // Like the store's own accessor, the next page is pinned before the
+  // current one is released, so both pools see the same pin pattern.
+  const double* Acquire(size_t i) {
+    const uint64_t page = i / rows_per_page_;
+    if (!handle_.valid() || page != page_) {
+      Result<PageHandle> fetched = pool_->Fetch(page);
+      if (!fetched.ok()) return nullptr;
+      handle_ = std::move(fetched).value();
+      page_ = page;
+    }
+    return handle_.doubles() + (i - page * rows_per_page_) * stride_;
+  }
+
+ private:
+  BufferPool* pool_;
+  size_t rows_per_page_;
+  size_t stride_;
+  uint64_t page_ = 0;
+  PageHandle handle_;
+};
+
+std::string WriteRows(const std::string& name,
+                      const std::vector<std::vector<double>>& rows) {
+  const std::string path = TestPath(name);
+  ColumnFileOptions file_options;
+  file_options.page_bytes = 4096;
+  auto writer = ColumnFileWriter::Create(path, rows.front().size(),
+                                         file_options);
+  EXPECT_TRUE(writer.ok()) << writer.status().ToString();
+  for (const std::vector<double>& row : rows) {
+    EXPECT_TRUE((*writer)->AppendRow(row).ok());
+  }
+  EXPECT_TRUE((*writer)->Finish().ok());
+  return path;
+}
+
+// Opens `path` twice with a `pool_pages`-page pool, runs CascadeKnn on one
+// and the oracle on a fresh pool over the other, and compares everything.
+void ExpectOracleWalk(const std::string& path, size_t pool_pages,
+                      std::span<const double> target, size_t k,
+                      const CascadeOptions& options, size_t shards,
+                      const std::string& label) {
+  PagedStoreOptions store_options;
+  store_options.pool_bytes = pool_pages * 4096;
+  auto store = PagedEmbeddingStore::Open(path, store_options);
+  auto oracle_store = PagedEmbeddingStore::Open(path, store_options);
+  ASSERT_TRUE(store.ok() && oracle_store.ok()) << label;
+  const PagedEmbeddingStore& paged = **store;
+  const PagedEmbeddingStore& source = **oracle_store;
+
+  BufferPoolOptions pool_options;
+  pool_options.page_bytes = source.pool().page_bytes();
+  pool_options.capacity_pages = source.pool().capacity_pages();
+  BufferPool oracle_pool(pool_options,
+                         [&source](uint64_t page, std::span<char> dest) {
+                           return source.ReadPage(page, dest);
+                         });
+  const size_t rows_per_page =
+      pool_options.page_bytes / (source.stride() * sizeof(double));
+  CascadeStats want;
+  const auto expected = testing_oracle::FullSortCascadeKnn(
+      [&] { return OracleRows(&oracle_pool, rows_per_page, source.stride()); },
+      source.size(), source.dim(), target, k, options,
+      source.has_quantized() ? &source.quantized() : nullptr, shards, &want);
+  const BufferPoolStats pool_stats = oracle_pool.stats();
+  want.bytes_read_disk = pool_stats.bytes_read_disk;
+  want.buffer_pool_hits = pool_stats.hits;
+  want.buffer_pool_misses = pool_stats.misses;
+  want.buffer_pool_evictions = pool_stats.evictions;
+
+  CascadeStats got;
+  Result<std::vector<std::pair<size_t, double>>> actual =
+      paged.CascadeKnn(target, k, options, &got, /*pool=*/nullptr, shards);
+  ASSERT_TRUE(actual.ok()) << label << ": " << actual.status().ToString();
+  EXPECT_EQ(*actual, expected) << label;
+  testing_oracle::ExpectSameWalk(
+      got, want, options.use_quantized && paged.has_quantized(),
+      std::clamp<size_t>(options.prefix_dim, 1, paged.dim()), label);
+}
+
+TEST(PagedStoreTest, ThresholdWalkMatchesFullSortOracle) {
+  Fixture fx = MakeFixture("oracle", 4096);
+  const size_t n = fx.ram.size();
+  const std::vector<double> target =
+      fx.ram.color_distance().Embed(fx.ram.image(17).histogram);
+  for (const CascadeOptions& options : WalkOptions()) {
+    for (size_t k : {size_t{1}, size_t{10}, n - 1, n + 2}) {
+      for (size_t shards : {1u, 2u, 7u}) {
+        // A 4-page pool over a 13-page file: the walk's probes evict.
+        ExpectOracleWalk(fx.path, 4, target, k, options, shards,
+                         WalkLabel("collection", options, k, shards));
+      }
+    }
+  }
+  std::remove(fx.path.c_str());
+}
+
+TEST(PagedStoreTest, FallbackWalksMatchFullSortOracle) {
+  // A zero-bound tie storm (no level bound can halt the walk, so the
+  // fallback pass runs) and 21 copies of 5 rows (bounds and distances tie).
+  const testing_oracle::ZeroBoundStorm storm =
+      testing_oracle::MakeZeroBoundStorm(300, 24, /*shared_dims=*/8, 6101);
+  std::vector<std::vector<double>> duplicates;
+  for (int copy = 0; copy < 21; ++copy) {
+    for (size_t r = 0; r < 5; ++r) duplicates.push_back(storm.rows[r * 7]);
+  }
+  struct Case {
+    std::string name;
+    std::string path;
+    size_t n;
+  };
+  const Case cases[] = {
+      {"storm", WriteRows("oracle_storm", storm.rows), storm.rows.size()},
+      {"duplicates", WriteRows("oracle_dups", duplicates), duplicates.size()}};
+  for (const Case& c : cases) {
+    for (const CascadeOptions& options : WalkOptions()) {
+      for (size_t k : {size_t{1}, size_t{5}, c.n - 1, c.n}) {
+        for (size_t shards : {1u, 2u, 7u}) {
+          ExpectOracleWalk(c.path, 3, storm.target, k, options, shards,
+                           WalkLabel(c.name, options, k, shards));
+        }
+      }
+    }
+    std::remove(c.path.c_str());
+  }
 }
 
 }  // namespace
