@@ -17,7 +17,8 @@
 // mismatches must be zero at every pool size and load. A second section
 // puts derived budgets (headroom × the plan's sorted-access estimate) on
 // the adversarial PathologicalMiddle workload and cross-checks the
-// truncated partial results between a pooled and an inline server.
+// truncated partial results between a pooled and an inline server. A third
+// section (E22c) splits a served source's build into grading and ranking.
 //
 // FUZZYDB_SMOKE=1 shrinks the config to a seconds-long sanity pass and
 // skips the BENCH_server.json write.
@@ -36,6 +37,7 @@
 #include "bench_util.h"
 #include "common/simd_dispatch.h"
 #include "common/thread_pool.h"
+#include "image/qbic_source.h"
 #include "middleware/join.h"
 #include "middleware/optimizer.h"
 #include "server/query_server.h"
@@ -54,13 +56,23 @@ struct BenchConfig {
   size_t queries_per_cell;
   std::vector<std::pair<const char*, double>> loads;  // name, load factor
   bool write_json;
+  std::vector<size_t> build_rows;  // E22c collection sizes
+  size_t build_reps;
 };
 
 BenchConfig MakeConfig() {
   if (std::getenv("FUZZYDB_SMOKE") != nullptr) {
-    return {60, 12, {{"sub", 0.8}}, false};
+    return {60, 12, {{"sub", 0.8}}, false, {2'000}, 2};
   }
-  return {300, 120, {{"sub", 0.5}, {"over", 2.5}}, true};
+  return {300, 120, {{"sub", 0.5}, {"over", 2.5}}, true, {20'000, 50'000}, 15};
+}
+
+// "q<i>", built by appending: GCC 12 reports a false -Wrestrict on
+// `"q" + std::to_string(i)` at -O2 with -Werror.
+std::string ColdTarget(size_t i) {
+  std::string target(1, 'q');
+  target += std::to_string(i);
+  return target;
 }
 
 const char* MixName(size_t mix) {
@@ -237,7 +249,7 @@ CellResult RunCell(size_t mix, const Workload& w, size_t pool_executors,
     // k); the rest are unique keys that must execute.
     const bool hot = (i % 10) < 3;
     const size_t k_index = hot ? 1 : i % 4;  // kColdKs[1] == kHotK
-    const std::string target = hot ? "hot" : "q" + std::to_string(i);
+    const std::string target = hot ? "hot" : ColdTarget(i);
     ctxs.push_back(std::make_unique<QueryCtx>(MakeCtx(w, mix % 4 == 3)));
     prepared.push_back({MixQuery(mix, target), k_index});
   }
@@ -380,6 +392,98 @@ void BudgetSection(const BenchConfig& cfg, JsonReport* json) {
   json->Set("budget.mismatches", mismatches);
 }
 
+double MedianOf(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  return Percentile(std::move(v), 0.5);
+}
+
+// --- Where a served source's build time goes. Create grades every image,
+// an O(N) pass the subsystem cannot skip; ranking is RankedGrades' lazy
+// heap, paid only as sorted access reads it. A 400-item prefix is about
+// what TA and A0 read of a 20k-row list on the served workloads; the full
+// std::sort over N is what every source paid up front before ranking was
+// lazy, and draining the heap is what a query that reads everything pays.
+void SourceBuildSection(const BenchConfig& cfg, JsonReport* json) {
+  Banner("E22c: source build phases, grade vs rank (us, median of " +
+         std::to_string(cfg.build_reps) + " targets)");
+  constexpr size_t kPrefix = 400;
+  TablePrinter table({"source", "rows", "grade_us", "rank_400_us",
+                      "rank_all_us", "full_sort_us"});
+  for (size_t rows : cfg.build_rows) {
+    ImageStoreOptions opt;
+    opt.num_images = rows;
+    opt.tune_cascade = false;
+    opt.seed = kSeed;
+    Result<ImageStore> store = ImageStore::Generate(opt);
+    CheckOk(store.status(), "E22c store");
+    for (const char* kind : {"color", "texture"}) {
+      std::vector<double> grade_us, prefix_us, all_us, sort_us;
+      for (size_t rep = 0; rep < cfg.build_reps; ++rep) {
+        const ImageRecord& probe = store->image((rep * 7919) % rows);
+        const auto t0 = std::chrono::steady_clock::now();
+        RankedGrades src;
+        if (kind[0] == 'c') {
+          Result<QbicColorSource> c =
+              QbicColorSource::Create(&*store, probe.histogram);
+          CheckOk(c.status(), "E22c color");
+          src = std::move(c).value();
+        } else {
+          Result<QbicTextureSource> t =
+              QbicTextureSource::Create(&*store, probe.texture);
+          CheckOk(t.status(), "E22c texture");
+          src = std::move(t).value();
+        }
+        const auto t1 = std::chrono::steady_clock::now();
+        for (size_t i = 0; i < kPrefix; ++i) src.NextSorted();
+        const auto t2 = std::chrono::steady_clock::now();
+        while (src.NextSorted().has_value()) {
+        }
+        const auto t3 = std::chrono::steady_clock::now();
+        // The eager ranking for comparison: the same objects in row (= id)
+        // order, fully sorted.
+        std::vector<GradedObject> items;
+        src.RestartSorted();
+        while (std::optional<GradedObject> g = src.NextSorted()) {
+          items.push_back(*g);
+        }
+        std::sort(items.begin(), items.end(),
+                  [](const GradedObject& a, const GradedObject& b) {
+                    return a.id < b.id;
+                  });
+        const auto t4 = std::chrono::steady_clock::now();
+        std::sort(items.begin(), items.end(), GradeDescending);
+        const auto t5 = std::chrono::steady_clock::now();
+        if (items.size() != rows) std::abort();
+        auto us = [](auto a, auto b) {
+          return std::chrono::duration<double, std::micro>(b - a).count();
+        };
+        grade_us.push_back(us(t0, t1));
+        prefix_us.push_back(us(t1, t2));
+        all_us.push_back(us(t1, t3));
+        sort_us.push_back(us(t4, t5));
+      }
+      const double grade = MedianOf(grade_us);
+      const double prefix = MedianOf(prefix_us);
+      const double all = MedianOf(all_us);
+      const double full_sort = MedianOf(sort_us);
+      table.AddRow({kind, std::to_string(rows), TablePrinter::Num(grade, 4),
+                    TablePrinter::Num(prefix, 4), TablePrinter::Num(all, 4),
+                    TablePrinter::Num(full_sort, 4)});
+      const std::string base = std::string("source_build.") + kind + ".rows" +
+                               std::to_string(rows);
+      json->Set(base + ".grade_us", grade);
+      json->Set(base + ".rank_400_us", prefix);
+      json->Set(base + ".rank_all_us", all);
+      json->Set(base + ".full_sort_us", full_sort);
+    }
+  }
+  table.Print();
+  std::cout << "grade_us is Create (grading every image); rank_400_us is "
+               "heapify plus the first 400 sorted accesses; rank_all_us "
+               "drains the heap; full_sort_us std::sorts all N from id order "
+               "(the eager ranking every source paid before).\n";
+}
+
 void PrintTables() {
   const BenchConfig cfg = MakeConfig();
   Banner("E22: query server under open-loop Poisson load (n=" +
@@ -449,6 +553,7 @@ void PrintTables() {
   table.Print();
 
   BudgetSection(cfg, &json);
+  SourceBuildSection(cfg, &json);
 
   json.Set("total_mismatches", total_mismatches);
   std::cout << "Expectation: zero mismatches — every admitted answer is "
@@ -480,7 +585,7 @@ void BM_ServerBurst(benchmark::State& state) {
     for (size_t i = 0; i < kBurst; ++i) {
       ctxs.push_back(std::make_unique<QueryCtx>(MakeCtx(w, i % 4 == 3)));
       Result<Submission> sub =
-          server.Submit(MixQuery(i, "q" + std::to_string(i)), 5,
+          server.Submit(MixQuery(i, ColdTarget(i)), 5,
                         ctxs.back()->resolver);
       if (sub.ok()) tickets.push_back(sub->ticket);
     }

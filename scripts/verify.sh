@@ -100,7 +100,7 @@ case "${MODE}" in
     cmake --build build-server -j "${JOBS}"
     TSAN_OPTIONS=halt_on_error=1 ctest --test-dir build-server \
       --output-on-failure -j "${JOBS}" \
-      -R 'server_|fuzz_test|thread_pool|ticket' \
+      -R 'server_|fuzz_test|thread_pool|ticket|ranked_grades' \
       --repeat after-timeout:3
     cmake --build build-server -j "${JOBS}" --target exp22_query_server
     FUZZYDB_SMOKE=1 ./build-server/bench/exp22_query_server \

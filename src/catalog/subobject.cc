@@ -42,41 +42,18 @@ Result<SubobjectSource> SubobjectSource::Create(
   }
   inner->RestartSorted();
 
-  SubobjectSource src;
-  src.label_ = std::move(label);
-  src.sorted_.reserve(mapping->parents().size());
+  const std::vector<ObjectId>& parents = mapping->parents();
+  std::vector<double> grades(parents.size());
   std::vector<double> scores;
-  for (ObjectId parent : mapping->parents()) {
+  for (size_t i = 0; i < parents.size(); ++i) {
     scores.clear();
-    for (ObjectId component : mapping->ComponentsOf(parent)) {
+    for (ObjectId component : mapping->ComponentsOf(parents[i])) {
       auto it = component_grades.find(component);
       scores.push_back(it == component_grades.end() ? 0.0 : it->second);
     }
-    double grade = scores.empty() ? 0.0 : combiner->Apply(scores);
-    src.sorted_.push_back({parent, grade});
-    src.grades_.emplace(parent, grade);
+    grades[i] = scores.empty() ? 0.0 : combiner->Apply(scores);
   }
-  std::sort(src.sorted_.begin(), src.sorted_.end(), GradeDescending);
-  return src;
-}
-
-std::optional<GradedObject> SubobjectSource::NextSorted() {
-  if (cursor_ >= sorted_.size()) return std::nullopt;
-  return sorted_[cursor_++];
-}
-
-double SubobjectSource::RandomAccess(ObjectId parent) {
-  auto it = grades_.find(parent);
-  return it == grades_.end() ? 0.0 : it->second;
-}
-
-std::vector<GradedObject> SubobjectSource::AtLeast(double threshold) {
-  std::vector<GradedObject> out;
-  for (const GradedObject& g : sorted_) {
-    if (g.grade < threshold) break;
-    out.push_back(g);
-  }
-  return out;
+  return SubobjectSource(std::move(grades), parents, std::move(label));
 }
 
 }  // namespace fuzzydb

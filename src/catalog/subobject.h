@@ -19,7 +19,7 @@
 #include <vector>
 
 #include "core/scoring.h"
-#include "middleware/source.h"
+#include "middleware/ranked_grades.h"
 
 namespace fuzzydb {
 
@@ -53,11 +53,11 @@ class SubobjectMapping {
 ///
 /// The parent grade is `combiner` applied to the grades of its components
 /// (components absent from the inner source contribute grade 0); parents
-/// with no components grade 0. The lifted graded set is materialized at
+/// with no components grade 0. The lifted grades are computed at
 /// construction by streaming the component source once — the realistic
 /// strategy when no component->parent index exists, which is exactly the
-/// difficulty §4.2 describes.
-class SubobjectSource final : public GradedSource {
+/// difficulty §4.2 describes — and ranked lazily by sorted access.
+class SubobjectSource final : public RankedGrades {
  public:
   /// `inner` and `mapping` must outlive the source.
   static Result<SubobjectSource> Create(GradedSource* inner,
@@ -65,19 +65,8 @@ class SubobjectSource final : public GradedSource {
                                         ScoringRulePtr combiner = MaxRule(),
                                         std::string label = "parent");
 
-  size_t Size() const override { return sorted_.size(); }
-  std::optional<GradedObject> NextSorted() override;
-  void RestartSorted() override { cursor_ = 0; }
-  double RandomAccess(ObjectId parent) override;
-  std::vector<GradedObject> AtLeast(double threshold) override;
-  std::string name() const override { return label_; }
-
  private:
-  SubobjectSource() = default;
-  std::vector<GradedObject> sorted_;
-  std::unordered_map<ObjectId, double> grades_;
-  size_t cursor_ = 0;
-  std::string label_;
+  using RankedGrades::RankedGrades;
 };
 
 }  // namespace fuzzydb

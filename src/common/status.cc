@@ -38,9 +38,9 @@ const char* CodeName(StatusCode code) {
 
 std::string Status::ToString() const {
   if (ok()) return "OK";
-  std::string out = CodeName(code_);
+  std::string out = CodeName(code());
   out += ": ";
-  out += message_;
+  out += message();
   return out;
 }
 

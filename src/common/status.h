@@ -5,6 +5,7 @@
 #define FUZZYDB_COMMON_STATUS_H_
 
 #include <cassert>
+#include <memory>
 #include <optional>
 #include <string>
 #include <utility>
@@ -30,14 +31,28 @@ enum class StatusCode {
 /// Return value describing success or a recoverable failure.
 ///
 /// A default-constructed Status is OK. Error statuses carry a code and a
-/// human-readable message. Statuses are cheap to copy in the OK case.
+/// human-readable message. The object is one pointer (Arrow's layout): null
+/// means OK, an error owns a heap {code, message}. So the OK path, which
+/// every Result<T> carries, costs 8 bytes and no allocation; copying an
+/// error copies its state.
 class Status {
  public:
   /// Constructs an OK status.
   Status() = default;
 
-  Status(StatusCode code, std::string message)
-      : code_(code), message_(std::move(message)) {}
+  /// An OK code makes an OK status; its message is dropped.
+  Status(StatusCode code, std::string message) {
+    if (code != StatusCode::kOk) {
+      state_ = std::make_unique<State>(State{code, std::move(message)});
+    }
+  }
+  Status(const Status& other) { *this = other; }
+  Status& operator=(const Status& other) {
+    state_ = other.state_ ? std::make_unique<State>(*other.state_) : nullptr;
+    return *this;
+  }
+  Status(Status&&) noexcept = default;
+  Status& operator=(Status&&) noexcept = default;
 
   /// Factory for the OK status.
   static Status OK() { return Status(); }
@@ -80,21 +95,30 @@ class Status {
   }
 
   /// True iff this status represents success.
-  bool ok() const { return code_ == StatusCode::kOk; }
-  StatusCode code() const { return code_; }
-  const std::string& message() const { return message_; }
+  bool ok() const { return state_ == nullptr; }
+  StatusCode code() const { return ok() ? StatusCode::kOk : state_->code; }
+  /// The error message; the empty string when OK.
+  const std::string& message() const {
+    static const std::string kEmpty;
+    return ok() ? kEmpty : state_->message;
+  }
 
   /// "OK" or "<code>: <message>", for logs and test failure output.
   std::string ToString() const;
 
   bool operator==(const Status& other) const {
-    return code_ == other.code_ && message_ == other.message_;
+    return code() == other.code() && message() == other.message();
   }
 
  private:
-  StatusCode code_ = StatusCode::kOk;
-  std::string message_;
+  struct State {
+    StatusCode code;
+    std::string message;
+  };
+  std::unique_ptr<State> state_;
 };
+
+static_assert(sizeof(Status) == sizeof(void*), "Status is one pointer");
 
 /// Either a value of type T or an error Status; analogous to arrow::Result.
 template <typename T>

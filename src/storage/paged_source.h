@@ -2,13 +2,15 @@
 // middleware's view of an out-of-core collection (DESIGN §3k).
 //
 // Honest accounting of what pages and what does not: grades are 8 bytes
-// per object and are materialized at construction, exactly like
+// per object and are computed at construction, exactly like
 // QbicColorSource — it is the embedding *rows* (stride * 8 bytes each,
 // ~64x larger) that stay on disk and stream through the buffer pool during
 // the one grading pass. After construction the source serves sorted and
-// random access from RAM, so middleware runs (TA/NRA/CA) over a paged
-// collection cost what they cost over a RAM collection; the disk was paid
-// once, sequentially, at source-build time.
+// random access from RAM: 12 bytes per object (the grade plus a 4-byte row
+// number in RankedGrades' lazy heap), plus the id map when ids are
+// explicit. The ranking is lazy, so a middleware run that reads a prefix
+// pays O(N) to heapify plus O(log N) per sorted access, not a full sort.
+// The disk was paid once, sequentially, at source-build time.
 //
 // Grade arithmetic is shared with QbicColorSource (GradeFromDistance over
 // BatchDistances output), so a paged source over the same rows produces
@@ -19,11 +21,10 @@
 #define FUZZYDB_STORAGE_PAGED_SOURCE_H_
 
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/status.h"
-#include "middleware/source.h"
+#include "middleware/ranked_grades.h"
 #include "storage/paged_store.h"
 
 namespace fuzzydb {
@@ -32,14 +33,14 @@ namespace storage {
 /// Color-similarity source backed by a PagedEmbeddingStore:
 /// grade(x) = 1 - d(x, target)/d_max, d the eigen-space (= quadratic-form)
 /// distance.
-class PagedColorSource final : public GradedSource {
+class PagedColorSource final : public RankedGrades {
  public:
   /// Grades every row of `store` against `target_embedding` (a full-dim
   /// embedding from QuadraticFormDistance::Embed) in one sequential paged
   /// pass. `ids` maps row -> ObjectId; empty means identity (row i is
   /// object i), which also keeps random access a flat array lookup instead
   /// of a hash map — the only choice that scales to out-of-core N.
-  /// `store` must outlive the source.
+  /// `store` is read only during the call.
   static Result<PagedColorSource> Create(const PagedEmbeddingStore* store,
                                          std::span<const double>
                                              target_embedding,
@@ -47,23 +48,8 @@ class PagedColorSource final : public GradedSource {
                                          std::string label = "Color(paged)",
                                          std::vector<ObjectId> ids = {});
 
-  size_t Size() const override { return sorted_.size(); }
-  std::optional<GradedObject> NextSorted() override;
-  void RestartSorted() override { cursor_ = 0; }
-  double RandomAccess(ObjectId id) override;
-  std::vector<GradedObject> AtLeast(double threshold) override;
-  std::string name() const override { return label_; }
-
  private:
-  PagedColorSource() = default;
-
-  std::vector<GradedObject> sorted_;
-  /// Identity-id mode: grade of object i at index i. Mapped mode: empty.
-  std::vector<double> grades_by_row_;
-  /// Mapped mode (explicit ids): the usual hash lookup.
-  std::unordered_map<ObjectId, double> grades_;
-  size_t cursor_ = 0;
-  std::string label_;
+  using RankedGrades::RankedGrades;
 };
 
 }  // namespace storage

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <type_traits>
+
 namespace fuzzydb {
 namespace {
 
@@ -34,6 +36,48 @@ TEST(StatusTest, EqualityComparesCodeAndMessage) {
   EXPECT_EQ(Status::NotFound("x"), Status::NotFound("x"));
   EXPECT_FALSE(Status::NotFound("x") == Status::NotFound("y"));
   EXPECT_FALSE(Status::NotFound("x") == Status::Internal("x"));
+}
+
+TEST(StatusTest, IsOnePointer) {
+  EXPECT_EQ(sizeof(Status), sizeof(void*));
+  EXPECT_TRUE(std::is_nothrow_move_constructible_v<Status>);
+  EXPECT_TRUE(std::is_nothrow_move_assignable_v<Status>);
+}
+
+TEST(StatusTest, OkCopiesMovesAndCompares) {
+  Status ok;
+  Status copy = ok;
+  Status moved = std::move(copy);
+  EXPECT_TRUE(moved.ok());
+  EXPECT_EQ(moved, Status::OK());
+  EXPECT_EQ(moved.message(), "");
+  EXPECT_EQ(moved.ToString(), "OK");
+  EXPECT_FALSE(moved == Status::Internal(""));
+  // An OK code makes an OK status whatever the message.
+  EXPECT_EQ(Status(StatusCode::kOk, "ignored"), Status::OK());
+}
+
+TEST(StatusTest, ErrorCopyIsDeepAndMoveTransfers) {
+  Status error = Status::DataLoss("bad page");
+  Status copy = error;
+  EXPECT_EQ(copy, error);
+  EXPECT_NE(&copy.message(), &error.message());  // its own state
+  Status moved = std::move(copy);
+  EXPECT_EQ(moved.code(), StatusCode::kDataLoss);
+  EXPECT_EQ(moved.ToString(), "DataLoss: bad page");
+  EXPECT_EQ(error.ToString(), "DataLoss: bad page");
+
+  // Assignment in every direction: error <- OK, OK <- error, self.
+  Status target = Status::NotFound("x");
+  target = Status::OK();
+  EXPECT_TRUE(target.ok());
+  target = error;
+  EXPECT_EQ(target, error);
+  const Status& alias = target;
+  target = alias;
+  EXPECT_EQ(target.ToString(), "DataLoss: bad page");
+  target = std::move(moved);
+  EXPECT_EQ(target, error);
 }
 
 TEST(ResultTest, HoldsValue) {
