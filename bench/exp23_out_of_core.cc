@@ -12,13 +12,17 @@
 //   3. Pool behavior: the clock pool's hit rate against a Zipfian page
 //      workload climbs with capacity along the classic concave curve —
 //      measured on a real file, not simulated.
+//   4. Scan resistance: a full scan (BatchDistances) between a cascade
+//      query and its repeat evicts nothing, so the repeat's probe pages
+//      still hit — asserted, and tabled against repeats with no scan.
 //
 // Ingestion streams synthetic decaying-spectrum rows straight to the
 // writer (constant memory; image generation at 10M rows would dominate the
 // run on one core without exercising storage any harder).
 //
 // FUZZYDB_SMOKE=1 shrinks to a seconds-long pass (small N, tiny pool) that
-// still pages; results land in BENCH_storage.json either way.
+// still pages; it prints its tables but leaves BENCH_storage.json, which
+// holds the full-size run, untouched.
 
 #include <sys/resource.h>
 
@@ -33,6 +37,7 @@
 
 #include "bench_util.h"
 #include "common/simd_dispatch.h"
+#include "common/thread_pool.h"
 #include "storage/buffer_pool.h"
 #include "storage/column_file.h"
 #include "storage/paged_store.h"
@@ -201,6 +206,67 @@ double HitRate(double hits, double misses) {
   return total == 0 ? 1.0 : hits / total;
 }
 
+struct ScanInterleave {
+  Aggregate quiet;    // repeat right after the cold query
+  Aggregate scanned;  // repeat after one full BatchDistances scan
+  double scan_ms = 0;
+  double scan_evictions = 0;
+  double scan_disk_bytes = 0;
+};
+
+// Per target: a cold cascade query, its repeat, one full scan, and the
+// repeat again. The scan reads every row page through ScanRead; a scan
+// that evicted would show as misses in the second repeat.
+ScanInterleave RunScanInterleave(const PagedEmbeddingStore& store,
+                                 const std::vector<std::vector<double>>& ts) {
+  CascadeOptions options;
+  options.use_quantized = true;
+  std::vector<QueryPoint> quiet, scanned;
+  std::vector<double> distances(store.size());
+  ScanInterleave out;
+  const double q = static_cast<double>(ts.size());
+  for (const std::vector<double>& target : ts) {
+    QueryPoint p;
+    CheckOk(store.CascadeKnn(target, kK, options, &p.cold).status(),
+            "E23d cold cascade");
+    auto a = std::chrono::steady_clock::now();
+    CheckOk(store.CascadeKnn(target, kK, options, &p.warm).status(),
+            "E23d repeat");
+    auto b = std::chrono::steady_clock::now();
+    p.warm_ms = Ms(a, b);
+    quiet.push_back(p);
+
+    const BufferPoolStats before = store.pool_stats();
+    a = std::chrono::steady_clock::now();
+    CheckOk(store.BatchDistances(target, distances, ThreadPool::Shared()),
+            "E23d scan");
+    b = std::chrono::steady_clock::now();
+    const BufferPoolStats after = store.pool_stats();
+    out.scan_ms += Ms(a, b) / q;
+    out.scan_evictions +=
+        static_cast<double>(after.evictions - before.evictions) / q;
+    out.scan_disk_bytes +=
+        static_cast<double>(after.bytes_read_disk - before.bytes_read_disk) /
+        q;
+
+    a = std::chrono::steady_clock::now();
+    CheckOk(store.CascadeKnn(target, kK, options, &p.warm).status(),
+            "E23d repeat after scan");
+    b = std::chrono::steady_clock::now();
+    p.warm_ms = Ms(a, b);
+    if (p.warm.bytes_read_disk != 0) {
+      std::cerr << "E23: a cascade repeat after a full scan read "
+                << p.warm.bytes_read_disk
+                << " disk bytes (expected 0: scans must not evict)\n";
+      std::abort();
+    }
+    scanned.push_back(p);
+  }
+  out.quiet = Summarize(quiet);
+  out.scanned = Summarize(scanned);
+  return out;
+}
+
 struct ZipfPoint {
   size_t pool_bytes;
   double hit_rate;
@@ -347,6 +413,31 @@ void PrintTables() {
                  TablePrinter::Num(total_ms, 3), "1.000"});
   ptable.Print();
 
+  Banner("E23d: probe-set pool hit rate with and without full scans");
+  const ScanInterleave interleave = RunScanInterleave(*store, int8_targets);
+  TablePrinter stable({"between query and repeat", "repeat ms/q",
+                       "repeat pool hit-rate", "repeat disk B/q", "scan ms",
+                       "scan evictions", "scan disk MB"});
+  stable.AddRow({"nothing", TablePrinter::Num(interleave.quiet.warm_ms),
+                 TablePrinter::Num(HitRate(interleave.quiet.warm_hits,
+                                           interleave.quiet.warm_misses),
+                                   4),
+                 TablePrinter::Num(interleave.quiet.warm_disk_bytes, 0), "-",
+                 "-", "-"});
+  stable.AddRow({"one full BatchDistances scan",
+                 TablePrinter::Num(interleave.scanned.warm_ms),
+                 TablePrinter::Num(HitRate(interleave.scanned.warm_hits,
+                                           interleave.scanned.warm_misses),
+                                   4),
+                 TablePrinter::Num(interleave.scanned.warm_disk_bytes, 0),
+                 TablePrinter::Num(interleave.scan_ms),
+                 TablePrinter::Num(interleave.scan_evictions),
+                 TablePrinter::Num(interleave.scan_disk_bytes / 1e6)});
+  stable.Print();
+  std::cout << "Expectation: equal hit rates and zero repeat disk bytes "
+               "(asserted): the scan reads past the pool and evicts "
+               "nothing, so the probe pages survive it.\n";
+
   const double rss = PeakRssBytes();
   std::cout << "peak RSS " << TablePrinter::Num(rss / 1e9, 3) << " GB vs "
             << TablePrinter::Num(file_bytes / 1e9, 3)
@@ -409,6 +500,16 @@ void PrintTables() {
   json.Set("int8_cascade.phase.bound_ms_per_query", bound_ms);
   json.Set("int8_cascade.phase.select_walk_ms_per_query", select_walk_ms);
   json.Set("int8_cascade.phase.total_ms_per_query", total_ms);
+  json.Set("scan_interleave.quiet_pool_hit_rate",
+           HitRate(interleave.quiet.warm_hits, interleave.quiet.warm_misses));
+  json.Set("scan_interleave.scanned_pool_hit_rate",
+           HitRate(interleave.scanned.warm_hits,
+                   interleave.scanned.warm_misses));
+  json.Set("scan_interleave.scanned_disk_bytes_per_query",
+           interleave.scanned.warm_disk_bytes);
+  json.Set("scan_interleave.scan_ms", interleave.scan_ms);
+  json.Set("scan_interleave.scan_evictions", interleave.scan_evictions);
+  json.Set("scan_interleave.scan_disk_bytes", interleave.scan_disk_bytes);
   json.Set("rss.peak_bytes", rss);
   json.Set("rss.peak_over_file", rss / file_bytes);
   for (const ZipfPoint& p : curve) {
@@ -419,7 +520,8 @@ void PrintTables() {
   }
   json.SetHostParallelism(hw);
   json.SetKernelDispatch(std::string(simd::Name(simd::Active())));
-  json.WriteFileGuarded("BENCH_storage.json");
+  // A smoke pass (small N, tiny pool) must not replace the full-size run.
+  if (!cfg.smoke) json.WriteFileGuarded("BENCH_storage.json");
 
   store->Close();
   std::remove(path.c_str());
@@ -471,6 +573,23 @@ void BM_PagedExactKnn(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PagedExactKnn)->Unit(benchmark::kMicrosecond);
+
+// The full scan behind PagedColorSource::Create: 50k rows through the 4 MB
+// pool, sharded on the shared thread pool. It evicts nothing; the pages
+// the pool does not hold are read into each shard's own buffer.
+void BM_PagedBatchDistances(benchmark::State& state) {
+  BmFixture& fx = SharedFixture();
+  std::vector<double> out(fx.store->size());
+  size_t q = 0;
+  for (auto _ : state) {
+    CheckOk(fx.store->BatchDistances(fx.targets[q++ % fx.targets.size()],
+                                     out, ThreadPool::Shared()),
+            "E23 bm scan");
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_PagedBatchDistances)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 }  // namespace fuzzydb

@@ -34,11 +34,13 @@
 #           mismatches asserted inside the bench, no JSON write).
 #   storage Out-of-core gate (DESIGN §3k): an ASan+UBSan build running the
 #           storage suite with FUZZYDB_STORAGE_STRESS=1 (widened paging-
-#           equivalence sweep, handle-lifetime and corruption tests under
-#           the sanitizer), then TSan on the buffer pool and paged-store
-#           concurrency labels, then a FUZZYDB_SMOKE=1 pass of
-#           exp23_out_of_core (bounded-RSS paging end to end; warm int8
-#           queries asserted to read zero disk bytes inside the bench).
+#           equivalence sweep, handle-lifetime, corruption and scan-read
+#           tests under the sanitizer), then TSan on the buffer pool and
+#           paged-store concurrency labels (scan reads racing probes
+#           included), then a FUZZYDB_SMOKE=1 pass of exp23_out_of_core
+#           (bounded-RSS paging end to end; warm int8 queries, also after
+#           a full scan, asserted to read zero disk bytes inside the bench; the
+#           smoke pass writes no BENCH_storage.json).
 #   bench   Native-arch Release build; runs the perf-trajectory benches
 #           (exp16, exp18, exp19, exp21, exp22, exp23) so their BENCH_*.json land in the repo
 #           root. Not a gate: on a 1-hardware-thread host it warns loudly

@@ -40,23 +40,17 @@ Result<Submission> QueryServer::Submit(QueryPtr query, size_t k,
     if (changed) InvalidateCache();
   }
 
-  // Resolve every atom now: fail fast on unknown attributes, and size the
-  // plan from the widest list.
   std::vector<const Query*> atoms;
   query->CollectAtoms(&atoms);
   if (atoms.empty()) return Status::InvalidArgument("query has no atoms");
-  size_t n = 0;
-  for (const Query* atom : atoms) {
-    Result<GradedSource*> src = resolver(*atom);
-    if (!src.ok()) return src.status();
-    n = std::max(n, (*src)->Size());
-  }
 
   const std::string key = CanonicalKey(query) + "|k=" + std::to_string(k);
   // Stamped before any store read: a concurrent InvalidateCache makes this
   // version stale, so whatever this query computes can no longer be cached.
   const uint64_t version = cache_.store_version();
 
+  // A cached full result is served before any atom is resolved, so a hit
+  // builds no source.
   std::optional<CachedQuery> cached = cache_.Lookup(key);
   if (cached.has_value() && cached->has_result && options_.cache_results) {
     auto ticket = std::make_shared<Ticket<ServedResult>>();
@@ -71,6 +65,15 @@ Result<Submission> QueryServer::Submit(QueryPtr query, size_t k,
       ++stats_.served_from_cache;
     }
     return Submission{std::move(ticket), nullptr};
+  }
+
+  // Resolve every atom now: fail fast on unknown attributes, and size the
+  // plan from the widest list.
+  size_t n = 0;
+  for (const Query* atom : atoms) {
+    Result<GradedSource*> src = resolver(*atom);
+    if (!src.ok()) return src.status();
+    n = std::max(n, (*src)->Size());
   }
 
   PlanChoice plan;

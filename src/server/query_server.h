@@ -141,8 +141,11 @@ class QueryServer {
 
   /// Plans, admits, and dispatches `query` for its top-k answers.
   /// `resolver` (and every source it returns) must stay valid until the
-  /// ticket completes. Errors are all pre-execution:
-  ///   - InvalidArgument: null query / no atoms / unresolvable atom;
+  /// ticket completes. A query whose full result is cached is served from
+  /// the cache without its atoms being resolved: `resolver` is never
+  /// called, so no source is built. Errors are all pre-execution:
+  ///   - InvalidArgument: null query / no atoms / unresolvable atom (the
+  ///     last only when the query is not served from the cache);
   ///   - ResourceExhausted "admission": estimated cost over the limit;
   ///   - ResourceExhausted "queue full": TryPost refused — explicit
   ///     backpressure, nothing was enqueued or silently dropped.

@@ -28,7 +28,12 @@ struct Frame {
 // the frames (and their bytes) alive after the pool itself is gone.
 struct PoolState {
   explicit PoolState(BufferPoolOptions opts, BufferPool::Fetcher f)
-      : options(opts), fetcher(std::move(f)), frames(opts.capacity_pages) {}
+      : options(opts), fetcher(std::move(f)), frames(opts.capacity_pages) {
+    // Popped from the back: the lowest index first, the order the clock
+    // hand would have filled an empty pool in.
+    free_frames.reserve(frames.size());
+    for (size_t i = frames.size(); i-- > 0;) free_frames.push_back(i);
+  }
 
   const BufferPoolOptions options;
 
@@ -37,6 +42,7 @@ struct PoolState {
   BufferPool::Fetcher fetcher GUARDED_BY(mu);
   std::vector<Frame> frames GUARDED_BY(mu);
   std::unordered_map<uint64_t, size_t> table GUARDED_BY(mu);  // page -> frame
+  std::vector<size_t> free_frames GUARDED_BY(mu);  // frames holding no page
   size_t clock_hand GUARDED_BY(mu) = 0;
   size_t loads_in_flight GUARDED_BY(mu) = 0;
   BufferPoolStats stats GUARDED_BY(mu);
@@ -59,6 +65,47 @@ struct PoolState {
       return idx;
     }
     return n;
+  }
+
+  // A frame holding no page, or capacity when there is none.
+  size_t TakeFreeFrame() REQUIRES(mu) {
+    if (free_frames.empty()) return frames.size();
+    const size_t idx = free_frames.back();
+    free_frames.pop_back();
+    return idx;
+  }
+
+  // Maps `page` into `frame` (free or just evicted), marks it loading and
+  // pinned, and returns where the fetcher should write it.
+  char* BeginLoad(size_t frame, uint64_t page) REQUIRES(mu) {
+    Frame& f = frames[frame];
+    if (f.data.size() == 0) f.data = AlignedArray<char>(options.page_bytes);
+    f.page = page;
+    f.loading = true;
+    f.pins = 1;  // pinned by this fetch; also shields the frame from clock
+    table.emplace(page, frame);
+    ++loads_in_flight;
+    return f.data.data();  // stable: loading frames are never touched
+  }
+
+  // Settles a load begun by BeginLoad (re-locked after the read): on
+  // success the frame is referenced and stays pinned; on failure the page
+  // is unmapped and the frame is free again. Wakes waiters either way.
+  void EndLoad(size_t frame, uint64_t page, const Status& read) REQUIRES(mu) {
+    --loads_in_flight;
+    Frame& f = frames[frame];
+    f.loading = false;
+    if (read.ok()) {
+      ++stats.misses;
+      stats.bytes_read_disk += options.page_bytes;
+      f.ref = true;
+    } else {
+      table.erase(page);
+      f.page = kNoPage;
+      f.pins = 0;
+      free_frames.push_back(frame);
+    }
+    cv.NotifyAll();
   }
 
   void Unpin(size_t frame) {
@@ -120,6 +167,23 @@ size_t BufferPool::capacity_pages() const {
 }
 
 Result<PageHandle> BufferPool::Fetch(uint64_t page) {
+  return Load(page, /*scratch=*/{});
+}
+
+Result<const char*> BufferPool::ScanRead(uint64_t page,
+                                         std::span<char> scratch,
+                                         PageHandle* pin) {
+  pin->Release();
+  if (scratch.size() != state_->options.page_bytes) {
+    return Status::InvalidArgument("scan scratch must be one page long");
+  }
+  Result<PageHandle> loaded = Load(page, scratch);
+  if (!loaded.ok()) return loaded.status();
+  *pin = std::move(loaded).value();
+  return pin->valid() ? pin->data() : scratch.data();
+}
+
+Result<PageHandle> BufferPool::Load(uint64_t page, std::span<char> scratch) {
   PoolState& s = *state_;
   MutexLock lock(s.mu);
   for (;;) {
@@ -143,25 +207,27 @@ Result<PageHandle> BufferPool::Fetch(uint64_t page) {
                         s.options.page_bytes);
     }
 
-    const size_t victim = s.FindVictim();
-    if (victim == s.frames.size()) {
-      return Status::ResourceExhausted(
-          "buffer pool: all " + std::to_string(s.frames.size()) +
-          " frames pinned or loading; pool too small for the working set");
-    }
-    internal::Frame& f = s.frames[victim];
-    if (f.page != kNoPage) {
-      s.table.erase(f.page);
+    // A free frame displaces nothing, so even a scan takes one: a file
+    // that fits in the pool still warms it. Only Fetch evicts.
+    size_t frame = s.TakeFreeFrame();
+    if (frame == s.frames.size() && scratch.empty()) {
+      frame = s.FindVictim();
+      if (frame == s.frames.size()) {
+        return Status::ResourceExhausted(
+            "buffer pool: all " + std::to_string(s.frames.size()) +
+            " frames pinned or loading; pool too small for the working set");
+      }
+      s.table.erase(s.frames[frame].page);
       ++s.stats.evictions;
     }
-    if (f.data.size() == 0) f.data = AlignedArray<char>(s.options.page_bytes);
-    f.page = page;
-    f.loading = true;
-    f.pins = 1;  // pinned by this fetch; also shields the frame from clock
-    s.table.emplace(page, victim);
+    const bool into_frame = frame != s.frames.size();
+    char* dest = scratch.data();
+    if (into_frame) {
+      dest = s.BeginLoad(frame, page);
+    } else {
+      ++s.loads_in_flight;  // Close() waits this read out too
+    }
     Fetcher fetch = s.fetcher;  // copy under the lock; Close() nulls it
-    ++s.loads_in_flight;
-    char* dest = f.data.data();  // stable: loading frames are never touched
 
     lock.Unlock();
     Status read = fetch
@@ -170,22 +236,18 @@ Result<PageHandle> BufferPool::Fetch(uint64_t page) {
                       : Status::FailedPrecondition("buffer pool is closed");
     lock.Lock();
 
-    --s.loads_in_flight;
-    internal::Frame& g = s.frames[victim];  // re-bind after relock (clarity)
-    g.loading = false;
-    if (!read.ok()) {
-      s.table.erase(page);
-      g.page = kNoPage;
-      g.pins = 0;
-      s.cv.NotifyAll();
-      return read;
+    if (into_frame) {
+      s.EndLoad(frame, page, read);
+      if (!read.ok()) return read;
+      return PageHandle(state_, frame, page, dest, s.options.page_bytes);
     }
+    // Read straight into the scan's own buffer: no frame, table entry or
+    // clock bit changed, so nothing resident was displaced.
+    if (--s.loads_in_flight == 0) s.cv.NotifyAll();
+    if (!read.ok()) return read;
     ++s.stats.misses;
     s.stats.bytes_read_disk += s.options.page_bytes;
-    g.ref = true;
-    s.cv.NotifyAll();
-    return PageHandle(state_, victim, page, g.data.data(),
-                      s.options.page_bytes);
+    return PageHandle();
   }
 }
 

@@ -10,10 +10,20 @@
 // pool's state. Releasing the last handle merely unpins; the page stays
 // resident until the clock sweep reclaims its frame.
 //
-// Eviction is clock (second chance): each frame has a reference bit set on
-// every touch; the sweep clears set bits and evicts the first unpinned,
-// unreferenced frame. Clock approximates LRU with O(1) state per frame and
-// no list splicing in the hot path.
+// A miss first takes a free frame (one holding no page, lowest index
+// first); only when none is left does it evict. Eviction is clock (second
+// chance): each frame has a reference bit set on every touch; the sweep
+// clears set bits and evicts the first unpinned, unreferenced frame. Clock
+// approximates LRU with O(1) state per frame and no list splicing in the
+// hot path.
+//
+// Full scans read through ScanRead, which never evicts: a resident page is
+// a pinned hit, a missing page takes a free frame if one exists, and
+// otherwise it is read straight into the scan's own page buffer, counted
+// as a miss with its bytes, and no frame, table entry or clock bit changes.
+// A one-pass scan of a file larger than the pool would otherwise evict
+// every frame once per pass for pages it never reads again, displacing the
+// probe pages (cascade refinement, single-row Distance) that do repeat.
 //
 // Concurrency protocol (one mutex, everything GUARDED_BY it):
 //   - a miss marks the chosen frame `loading`, then drops the lock for the
@@ -22,10 +32,13 @@
 //     waits on the CondVar; of a different page, it picks its own victim;
 //   - `loading` frames are invisible to the clock sweep, and a failed load
 //     unmaps the page and wakes waiters so they can retry or fail;
-//   - Close() invalidates the fetcher and waits out in-flight loads.
+//   - Close() invalidates the fetcher and waits out in-flight loads,
+//     scan reads into caller buffers included.
 // When every frame is pinned or loading, Fetch returns ResourceExhausted
 // instead of deadlocking — the caller sized the pool too small for its
 // working set, and the kernels treat that as a hard error, not a wait.
+// ScanRead never does: with no frame to spare it reads into the caller's
+// buffer.
 
 #ifndef FUZZYDB_STORAGE_BUFFER_POOL_H_
 #define FUZZYDB_STORAGE_BUFFER_POOL_H_
@@ -116,6 +129,16 @@ class BufferPool {
   /// FailedPrecondition after Close(); otherwise the fetcher's error.
   Result<PageHandle> Fetch(uint64_t page);
 
+  /// The full-scan read, which never evicts. Releases `*pin` first. A
+  /// resident page, or a missing one loaded into a free frame, comes back
+  /// pinned in `*pin`, as from Fetch. Otherwise the page is read into
+  /// `scratch` (exactly page_bytes long) and `*pin` stays empty. Returns
+  /// the page's bytes, valid while `*pin` or `scratch` is untouched.
+  /// FailedPrecondition after Close(); InvalidArgument for a wrong-sized
+  /// `scratch`; otherwise the fetcher's error, with no pin held.
+  Result<const char*> ScanRead(uint64_t page, std::span<char> scratch,
+                               PageHandle* pin);
+
   /// Snapshot of the monotone counters.
   BufferPoolStats stats() const;
 
@@ -128,6 +151,10 @@ class BufferPool {
   void Close();
 
  private:
+  /// Fetch when `scratch` is empty; otherwise ScanRead's miss policy, and
+  /// an empty handle means the bytes landed in `scratch`.
+  Result<PageHandle> Load(uint64_t page, std::span<char> scratch);
+
   std::shared_ptr<internal::PoolState> state_;
 };
 

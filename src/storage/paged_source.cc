@@ -21,8 +21,9 @@ Result<PagedColorSource> PagedColorSource::Create(
   if (store->size() > RankedGrades::kMaxRows) {
     return Status::InvalidArgument("too many rows to rank");
   }
-  // One sequential paged pass over the rows (the only disk the source ever
-  // costs), sharded across the shared pool like QbicColorSource's pass.
+  // One sequential scan over the rows (the only disk the source ever
+  // costs; it evicts nothing), sharded across the shared thread pool like
+  // QbicColorSource's pass.
   // Distances become grades in place.
   std::vector<double> grades(store->size());
   FUZZYDB_RETURN_NOT_OK(

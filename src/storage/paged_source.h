@@ -4,13 +4,17 @@
 // Honest accounting of what pages and what does not: grades are 8 bytes
 // per object and are computed at construction, exactly like
 // QbicColorSource — it is the embedding *rows* (stride * 8 bytes each,
-// ~64x larger) that stay on disk and stream through the buffer pool during
-// the one grading pass. After construction the source serves sorted and
+// ~64x larger) that stay on disk and are read once during the one grading
+// pass. That pass is a full scan (PagedEmbeddingStore::BatchDistances): it
+// reads pages the pool holds as hits and the rest past the pool, evicting
+// nothing, so building a source neither churns the pool nor displaces the
+// pages other queries probe. After construction the source serves sorted and
 // random access from RAM: 12 bytes per object (the grade plus a 4-byte row
 // number in RankedGrades' lazy heap), plus the id map when ids are
 // explicit. The ranking is lazy, so a middleware run that reads a prefix
 // pays O(N) to heapify plus O(log N) per sorted access, not a full sort.
-// The disk was paid once, sequentially, at source-build time.
+// The disk (for the pages the pool does not hold) was paid once,
+// sequentially, at source-build time.
 //
 // Grade arithmetic is shared with QbicColorSource (GradeFromDistance over
 // BatchDistances output), so a paged source over the same rows produces

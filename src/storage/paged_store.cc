@@ -18,14 +18,23 @@ using knn_internal::ToOutput;
 
 constexpr uint64_t kNoPage = ~uint64_t{0};
 
+// How a PagedRows reads pages: probes (cascade refinement, single-row
+// Distance) go through Fetch and stay cached; full scans go through
+// ScanRead, which never evicts a resident page for a page the scan will
+// not read again.
+enum class PageAccess { kProbe, kScan };
+
 // The paged RowAccessor (see image/knn_kernel.h): holds one pinned page at
-// a time and swaps pins on page crossings. One instance per shard, one
+// a time (or, for a scan miss the pool had no free frame for, one page in
+// its own buffer) and swaps on page crossings. One instance per shard, one
 // thread each; the pool underneath is what's shared.
 class PagedRows {
  public:
-  PagedRows(const ColumnFile& file, BufferPool& pool, size_t readahead)
+  PagedRows(const ColumnFile& file, BufferPool& pool, size_t readahead,
+            PageAccess access)
       : file_(file), pool_(pool), rows_per_page_(file.rows_per_page()),
-        stride_(file.stride()), readahead_(readahead) {}
+        stride_(file.stride()), readahead_(readahead),
+        scratch_(access == PageAccess::kScan ? file.page_bytes() : 0) {}
 
   const double* Acquire(size_t i) {
     const uint64_t page = i / rows_per_page_;
@@ -36,21 +45,36 @@ class PagedRows {
         // the pool's budget is untouched.
         file_.Advise(page, readahead_);
       }
-      Result<PageHandle> fetched = pool_.Fetch(page);
-      if (!fetched.ok()) {
-        status_ = fetched.status();
-        return nullptr;
-      }
-      handle_ = std::move(fetched).value();
+      if (!Load(page)) return nullptr;
       current_page_ = page;
     }
-    return handle_.doubles() + (i - page * rows_per_page_) * stride_;
+    return rows_ + (i - page * rows_per_page_) * stride_;
   }
 
   /// The error that made Acquire return nullptr (OK until then).
   const Status& status() const { return status_; }
 
  private:
+  bool Load(uint64_t page) {
+    if (!scratch_.empty()) {
+      Result<const char*> bytes = pool_.ScanRead(page, scratch_, &handle_);
+      if (!bytes.ok()) {
+        status_ = bytes.status();
+        return false;
+      }
+      rows_ = reinterpret_cast<const double*>(*bytes);
+      return true;
+    }
+    Result<PageHandle> fetched = pool_.Fetch(page);
+    if (!fetched.ok()) {
+      status_ = fetched.status();
+      return false;
+    }
+    handle_ = std::move(fetched).value();
+    rows_ = handle_.doubles();
+    return true;
+  }
+
   const ColumnFile& file_;
   BufferPool& pool_;
   const size_t rows_per_page_;
@@ -58,6 +82,8 @@ class PagedRows {
   const size_t readahead_;
   uint64_t current_page_ = kNoPage;
   PageHandle handle_;
+  std::vector<char> scratch_;  // scan mode only: a page the pool did not keep
+  const double* rows_ = nullptr;
   Status status_;
 };
 
@@ -109,7 +135,7 @@ Result<double> PagedEmbeddingStore::Distance(std::span<const double> target,
                                              size_t i) const {
   assert(target.size() == dim());
   if (i >= size()) return Status::OutOfRange("row index past store size");
-  PagedRows rows(*file_, *pool_, /*readahead=*/0);
+  PagedRows rows(*file_, *pool_, /*readahead=*/0, PageAccess::kProbe);
   const double* row = rows.Acquire(i);
   if (row == nullptr) return rows.status();
   return std::sqrt(SquaredDistance(row, target.data(), dim()));
@@ -131,7 +157,8 @@ Status PagedEmbeddingStore::BatchDistances(std::span<const double> target,
       MakeShards(size(), ResolveShards(shards, pool, size()));
   std::vector<Status> errors(ranges.size());
   RunShards(pool, ranges.size(), [&](size_t s) {
-    PagedRows rows(*file_, *pool_, options_.readahead_pages);
+    PagedRows rows(*file_, *pool_, options_.readahead_pages,
+                   PageAccess::kScan);
     for (size_t i = ranges[s].begin; i < ranges[s].end; ++i) {
       const double* FUZZYDB_RESTRICT row = rows.Acquire(i);
       if (row == nullptr) {
@@ -161,7 +188,8 @@ Result<std::vector<std::pair<size_t, double>>> PagedEmbeddingStore::ExactKnn(
   std::vector<std::vector<std::pair<double, size_t>>> local(ranges.size());
   std::vector<Status> errors(ranges.size());
   RunShards(pool, ranges.size(), [&](size_t s) {
-    PagedRows rows(*file_, *pool_, options_.readahead_pages);
+    PagedRows rows(*file_, *pool_, options_.readahead_pages,
+                   PageAccess::kScan);
     if (!knn_internal::ExactKnnShard(rows, target.data(), dim(), k, ranges[s],
                                      &local[s])) {
       errors[s] = rows.status();
@@ -204,7 +232,8 @@ Result<std::vector<std::pair<size_t, double>>> PagedEmbeddingStore::CascadeKnn(
   std::vector<CascadeStats> local_stats(ranges.size());
   std::vector<Status> errors(ranges.size());
   RunShards(pool, ranges.size(), [&](size_t s) {
-    PagedRows rows(*file_, *pool_, options_.readahead_pages);
+    PagedRows rows(*file_, *pool_, options_.readahead_pages,
+                   PageAccess::kProbe);
     if (!knn_internal::CascadeShard(rows, target.data(), dim(), k, options, qs,
                                     qs != nullptr ? &qquery : nullptr,
                                     ranges[s], &local[s], &local_stats[s])) {
@@ -235,7 +264,7 @@ Result<std::vector<std::pair<size_t, double>>> PagedEmbeddingStore::CascadeKnn(
 Result<EmbeddingStore> PagedEmbeddingStore::LoadToMemory() const {
   EmbeddingStore store(size(), dim());
   // Page-by-page sequential copy through a private buffer, bypassing the
-  // pool (a one-shot full scan would only churn its frames).
+  // pool: every byte lands in the RAM store, so no frame would be reused.
   std::vector<char> page(file_->page_bytes());
   const size_t rpp = file_->rows_per_page();
   const size_t row_bytes = stride() * sizeof(double);

@@ -8,12 +8,16 @@
 //     it is the tier whose whole point is full-collection scans, and it is
 //     8x smaller than the float rows;
 //   - the float rows (8 bytes/dim, cache-line-padded stride) live on disk
-//     and enter memory only through the pool: sequential scans walk pages
-//     in order (with readahead advice to the kernel), refinement probes pin
-//     single pages.
+//     and enter memory only through the pool. Refinement probes (cascade,
+//     Distance) pin single pages with Fetch, which caches and evicts.
+//     Full scans (BatchDistances, ExactKnn) walk pages in order with
+//     readahead advice to the kernel and read through ScanRead, which
+//     never evicts: resident pages are hits, free frames are filled, and
+//     the rest is read into the shard's own page buffer.
 // A warm cascade query therefore reads *zero* disk bytes at level −1 and
-// touches disk only for survivor pages the pool has not retained — that
-// claim is measured (CascadeStats::bytes_read_disk), not asserted.
+// touches disk only for survivor pages the pool has not retained — even
+// with full scans interleaved, since a scan displaces nothing. That claim
+// is measured (CascadeStats::bytes_read_disk), not asserted.
 //
 // Every query method returns Status/Result: disk I/O can fail in ways RAM
 // access cannot, and the kernels abandon a shard cleanly (no partial
@@ -53,10 +57,11 @@ struct PagedStoreOptions {
 };
 
 /// Read-only view over one column file. Query methods are thread-safe and
-/// may run concurrently (the pool synchronizes frame state; each shard
-/// pins at most one page at a time, so any pool of >= shard-count pages
-/// can make progress). Close() requires quiescence, like the RAM store's
-/// destructor.
+/// may run concurrently (the pool synchronizes frame state). A full scan
+/// never waits for a frame: a page the pool cannot admit is read into the
+/// shard's own buffer. A probe pins the next page before releasing the
+/// current one, so concurrent cascade shards need up to two frames each.
+/// Close() requires quiescence, like the RAM store's destructor.
 class PagedEmbeddingStore {
  public:
   static Result<std::unique_ptr<PagedEmbeddingStore>> Open(
@@ -80,13 +85,15 @@ class PagedEmbeddingStore {
   Result<double> Distance(std::span<const double> target, size_t i) const;
 
   /// out[i] = |Row(i) - target|_2 for every stored row; one sequential
-  /// paged pass. Bit-identical to EmbeddingStore::BatchDistances.
+  /// paged pass that never evicts (BufferPool::ScanRead). Bit-identical to
+  /// EmbeddingStore::BatchDistances.
   Status BatchDistances(std::span<const double> target,
                         std::span<double> out) const;
   Status BatchDistances(std::span<const double> target, std::span<double> out,
                         ThreadPool* pool, size_t shards = 0) const;
 
   /// Exact top-k; same contract (and bits) as EmbeddingStore::ExactKnn.
+  /// A full scan, read like BatchDistances.
   Result<std::vector<std::pair<size_t, double>>> ExactKnn(
       std::span<const double> target, size_t k) const;
   Result<std::vector<std::pair<size_t, double>>> ExactKnn(

@@ -423,6 +423,67 @@ TEST_F(QueryServerTest, ResultCacheServesRepeatBitwise) {
   EXPECT_GE(server.cache_stats().hits, 1u);
 }
 
+// Wraps a context's resolver with a call counter: a source the resolver is
+// asked for is a source the caller would build.
+SourceResolver CountingResolver(const QueryCtx& ctx, std::atomic<int>* calls) {
+  SourceResolver inner = ctx.resolver;
+  return [inner, calls](const Query& atom) {
+    calls->fetch_add(1);
+    return inner(atom);
+  };
+}
+
+TEST_F(QueryServerTest, ResultCacheHitResolvesNoAtom) {
+  QueryServerOptions options;  // inline, cache on
+  QueryServer server(options);
+  QueryPtr query =
+      Query::And({Query::Atomic("A", "t"), Query::Atomic("B", "t")});
+  QueryCtx ctx = MakeCtx(smooth_);
+  std::atomic<int> calls{0};
+
+  Result<Submission> miss =
+      server.Submit(query, 5, CountingResolver(ctx, &calls));
+  ASSERT_TRUE(miss.ok());
+  ASSERT_FALSE(miss->ticket->Wait().from_cache);
+  EXPECT_GT(calls.load(), 0);
+
+  calls.store(0);
+  Result<Submission> hit =
+      server.Submit(query, 5, CountingResolver(ctx, &calls));
+  ASSERT_TRUE(hit.ok());
+  EXPECT_TRUE(hit->ticket->Wait().from_cache);
+  EXPECT_EQ(calls.load(), 0);
+  EXPECT_EQ(server.stats().served_from_cache, 1u);
+}
+
+TEST_F(QueryServerTest, DataVersionBumpForcesResolution) {
+  std::atomic<uint64_t> data_version{1};
+  QueryServerOptions options;
+  options.data_version = [&data_version] { return data_version.load(); };
+  QueryServer server(options);
+  QueryPtr query =
+      Query::And({Query::Atomic("A", "t"), Query::Atomic("B", "t")});
+  QueryCtx ctx = MakeCtx(smooth_);
+  std::atomic<int> calls{0};
+
+  ASSERT_TRUE(server.Submit(query, 5, CountingResolver(ctx, &calls)).ok());
+  calls.store(0);
+  Result<Submission> hit =
+      server.Submit(query, 5, CountingResolver(ctx, &calls));
+  ASSERT_TRUE(hit.ok());
+  EXPECT_TRUE(hit->ticket->Wait().from_cache);
+  EXPECT_EQ(calls.load(), 0);
+
+  // The backing data changed: the cached result is stale, so the repeat
+  // resolves its atoms and executes again.
+  data_version.store(2);
+  Result<Submission> fresh =
+      server.Submit(query, 5, CountingResolver(ctx, &calls));
+  ASSERT_TRUE(fresh.ok());
+  EXPECT_FALSE(fresh->ticket->Wait().from_cache);
+  EXPECT_GT(calls.load(), 0);
+}
+
 TEST_F(QueryServerTest, InvalidSubmissionsFailFast) {
   QueryServer server;
   QueryCtx ctx = MakeCtx(smooth_);

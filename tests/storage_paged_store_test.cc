@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "analysis/storage_audit.h"
+#include "common/thread_pool.h"
 #include "image/image_store.h"
 #include "storage/buffer_pool.h"
 #include "storage/column_file.h"
@@ -364,6 +365,58 @@ TEST(PagedStoreTest, FallbackWalksMatchFullSortOracle) {
     }
     std::remove(c.path.c_str());
   }
+}
+
+// ---- Scan resistance -----------------------------------------------------
+
+TEST(PagedStoreTest, FullScansDoNotEvictTheProbeSet) {
+  // Rows spread along one axis: a target among the first rows has all its
+  // neighbours, and so the cascade's refinement probes, on the first pages.
+  std::vector<std::vector<double>> rows(2560, std::vector<double>(8, 0.0));
+  for (size_t i = 0; i < rows.size(); ++i) {
+    rows[i][0] = static_cast<double>(i);
+    rows[i][1] = 0.1 * static_cast<double>(i * 7 % 13);
+  }
+  const std::string path = WriteRows("scan_resistance", rows);
+  PagedStoreOptions options;
+  options.pool_bytes = 8 * 4096;
+  auto store = PagedEmbeddingStore::Open(path, options);
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  const PagedEmbeddingStore& paged = **store;
+  const size_t rows_per_page = 4096 / (paged.stride() * sizeof(double));
+  const size_t file_pages = (paged.size() + rows_per_page - 1) / rows_per_page;
+  ASSERT_GE(file_pages, 4 * paged.pool().capacity_pages());
+
+  const std::vector<double> target = rows[5];
+  CascadeOptions cascade;
+  cascade.use_quantized = true;
+  CascadeStats cold;
+  CascadeStats warm;
+  auto first = paged.CascadeKnn(target, 10, cascade, &cold);
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  ASSERT_TRUE(paged.CascadeKnn(target, 10, cascade, &warm).ok());
+  EXPECT_GT(cold.bytes_read_disk, 0u);
+  // The probe set fits in the pool: a warm repeat reads nothing.
+  ASSERT_EQ(warm.bytes_read_disk, 0u);
+
+  // Full scans over the whole file, serial and sharded (three shards hold
+  // at most six pins, so even a scan that pinned every page would fit).
+  std::vector<double> out(paged.size());
+  ASSERT_TRUE(paged.BatchDistances(target, out).ok());
+  ASSERT_TRUE(paged.BatchDistances(target, out, ThreadPool::Shared(), 3).ok());
+  ASSERT_TRUE(paged.ExactKnn(target, 10, ThreadPool::Shared(), 3).ok());
+
+  // The scans displaced nothing: the probe set still reads zero disk bytes.
+  CascadeStats after_scans;
+  auto again = paged.CascadeKnn(target, 10, cascade, &after_scans);
+  ASSERT_TRUE(again.ok()) << again.status().ToString();
+  EXPECT_EQ(*again, *first);
+  EXPECT_EQ(after_scans.bytes_read_disk, 0u);
+  EXPECT_EQ(after_scans.buffer_pool_misses, 0u);
+  EXPECT_EQ(after_scans.buffer_pool_evictions, 0u);
+  EXPECT_EQ(after_scans.buffer_pool_hits, warm.buffer_pool_hits);
+  EXPECT_EQ(paged.pool_stats().evictions, cold.buffer_pool_evictions);
+  std::remove(path.c_str());
 }
 
 }  // namespace
